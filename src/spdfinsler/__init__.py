@@ -29,8 +29,6 @@ from .schatten import (
     Spectrum,
     eigenvalue_spectrum,
     is_permutation_of,
-    log_majorizes,
-    majorizes,
     power_sum,
     schatten_norm,
     singular_values,
@@ -52,6 +50,7 @@ from .geodesic import (
     weighted_mean,
 )
 from .inequalities import (
+    CHECKERS,
     CheckerRangeError,
     InequalityReport,
     UnprovenRangeError,
@@ -68,7 +67,6 @@ from .inequalities import (
     check_two_uniform_convexity_norm,
 )
 from .experiments import (
-    CHECKERS,
     ENSEMBLES,
     RNG_IDENTITY,
     SampleConfig,
@@ -76,9 +74,7 @@ from .experiments import (
     gap_scan,
     mix_seed,
     run_campaign,
-    sample_spd,
-    sample_spd_pair,
-    sample_spd_triple,
+    sample_bundle,
     write_csv,
 )
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .inequalities import CheckerRangeError
+from .inequalities import CHECKERS, CheckerRangeError
 from .experiments import (
-    CHECKERS,
     ENSEMBLES,
     RNG_IDENTITY,
     SampleConfig,
@@ -20,7 +19,7 @@ from .experiments import (
     mix_seed,
     render_csv,
     run_campaign,
-    sample_spd_pair,
+    sample_bundle,
 )
 from .selftest import run_selftest
 
@@ -50,11 +49,7 @@ def _resolve_inequalities(text: str, p_values: list[float]) -> list[str]:
     requested order; an explicit list is strict and lets run_campaign raise
     on an incompatible pairing."""
     if text == "all":
-        names = [
-            name for name in sorted(CHECKERS)
-            if CHECKERS[name].p_independent
-            or any(CHECKERS[name].p_valid(p) for p in p_values)
-        ]
+        names = [name for name in sorted(CHECKERS) if CHECKERS[name].orders(p_values)]
         if not names:
             raise CheckerRangeError(
                 f"no inequality accepts any of the requested orders {p_values}"
@@ -170,8 +165,8 @@ def _run_gap_study(args) -> int:
         config = SampleConfig(dim=dim, ensemble="commuting_pair",
                               seed=mix_seed(args.seed, dim))
         for i in range(args.samples):
-            base_a, base_b = sample_spd_pair(config, i)
-            records.extend(gap_scan(base_a, base_b, args.eps_grid, args.p[0],
+            bundle = sample_bundle(config, i)
+            records.extend(gap_scan(bundle.a, bundle.b, args.eps_grid, args.p[0],
                                     seed=mix_seed(config.seed, i)))
     comments = [
         f"rng: {RNG_IDENTITY}",

@@ -1,36 +1,37 @@
 """Reproducible random ensembles, verification campaigns, and CSV output.
 
 Determinism contract: every sample index gets its own numpy PCG64 generator
-seeded by a splitmix64-style mix of the master seed and the index, so
-parallel and serial campaign execution produce identical rows, and two runs
-with the same configuration produce byte-identical CSV files.
+seeded by a splitmix64-style mix of the master seed and the index, so a
+sample is a pure function of (config, index), and two runs with the same
+configuration produce byte-identical CSV files.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .matcore import HermitianMatrix, SpdMatrix, commutator_defect, mat_exp, mat_log
+from .matcore import (
+    HermitianMatrix,
+    SpdMatrix,
+    _assemble,
+    commutator_defect,
+    mat_exp,
+    mat_log,
+)
 from .geodesic import gamma_commute, project_to_unit_sphere
 from .inequalities import (
+    CHECKERS,
     CheckerRangeError,
-    check_clarkson_mccarthy,
-    check_conde_2uc,
+    _distance_spectra,
+    _pair_spectra,
+    _sphere_spectra,
+    _triple_spectra,
     check_distance_lower_bound,
-    check_hanner_matrix,
-    check_log_majorization_lemma,
-    check_p_convexity_high,
-    check_p_convexity_low,
-    check_sphere_2uc,
-    check_sphere_high,
-    check_sphere_low,
-    check_two_uniform_convexity_norm,
 )
 
 __all__ = [
@@ -38,14 +39,10 @@ __all__ = [
     "SampleBundle",
     "ScanRecord",
     "ENSEMBLES",
-    "CHECKERS",
     "RNG_IDENTITY",
     "CSV_COLUMNS",
     "mix_seed",
     "sample_bundle",
-    "sample_spd",
-    "sample_spd_pair",
-    "sample_spd_triple",
     "run_campaign",
     "gap_scan",
     "render_csv",
@@ -146,12 +143,8 @@ def _random_invertible(rng: np.random.Generator, dim: int,
 
 def _from_basis(basis: np.ndarray, log_values: np.ndarray) -> tuple[SpdMatrix, HermitianMatrix]:
     """SPD matrix with prescribed eigenbasis and log-spectrum, plus its exact log."""
-    mat = (basis * np.exp(log_values)) @ basis.conj().T
-    log = (basis * log_values) @ basis.conj().T
-    return (
-        SpdMatrix(0.5 * (mat + mat.conj().T)),
-        HermitianMatrix(0.5 * (log + log.conj().T)),
-    )
+    spd = SpdMatrix(_assemble(basis, np.exp(log_values)))
+    return spd, HermitianMatrix(_assemble(basis, log_values))
 
 
 def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
@@ -186,10 +179,7 @@ def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
     if config.ensemble == "gamma_commuting_triple":
         x = _random_invertible(rng, dim)
         spectra = [sigma * rng.standard_normal(dim) for _ in range(3)]
-        mats = []
-        for log_values in spectra:
-            conj = (x * np.exp(log_values)) @ x.conj().T
-            mats.append(SpdMatrix(0.5 * (conj + conj.conj().T)))
+        mats = [SpdMatrix(_assemble(x, np.exp(log_values))) for log_values in spectra]
         return SampleBundle(mats[0], mats[1], mats[2], mat_log(mats[0]), mat_log(mats[1]))
 
     # near_commuting: commuting base pair, then B perturbed along a unit
@@ -206,23 +196,6 @@ def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
         log_b = HermitianMatrix(log_b0.array + config.epsilon * direction.array)
         b = mat_exp(log_b)
     return SampleBundle(a, b, mat_exp(h3), log_a, log_b)
-
-
-def sample_spd(config: SampleConfig, index: int) -> SpdMatrix:
-    """First SPD matrix of the sample at this index."""
-    return sample_bundle(config, index).a
-
-
-def sample_spd_pair(config: SampleConfig, index: int) -> tuple[SpdMatrix, SpdMatrix]:
-    """The sample's SPD pair (commuting, near-commuting, ... per ensemble)."""
-    bundle = sample_bundle(config, index)
-    return bundle.a, bundle.b
-
-
-def sample_spd_triple(config: SampleConfig, index: int) -> tuple[SpdMatrix, SpdMatrix, SpdMatrix]:
-    """The sample's SPD triple."""
-    bundle = sample_bundle(config, index)
-    return bundle.a, bundle.b, bundle.c
 
 
 @dataclass(frozen=True)
@@ -246,98 +219,18 @@ class ScanRecord:
     gamma_defect_bracket: float
 
 
-# One row per evaluated inequality: (name, lhs, rhs, gap, satisfied, commutator_defect).
-_Row = tuple[str, float, float, float, bool, float]
-
-
-def _rows_from_report(report, defect: float) -> list[_Row]:
-    return [(report.name, report.lhs, report.rhs, report.gap, report.satisfied, defect)]
-
-
-def _run_clarkson(bundle: SampleBundle, p: float) -> list[_Row]:
-    defect = commutator_defect(bundle.log_a, bundle.log_b)
-    lower, upper = check_clarkson_mccarthy(bundle.log_a, bundle.log_b, p)
-    return _rows_from_report(lower, defect) + _rows_from_report(upper, defect)
-
-
-def _run_two_uniform(bundle: SampleBundle, p: float) -> list[_Row]:
-    defect = commutator_defect(bundle.log_a, bundle.log_b)
-    return _rows_from_report(
-        check_two_uniform_convexity_norm(bundle.log_a, bundle.log_b, p), defect
-    )
-
-
-def _run_hanner(bundle: SampleBundle, p: float) -> list[_Row]:
-    defect = commutator_defect(bundle.log_a, bundle.log_b)
-    return _rows_from_report(check_hanner_matrix(bundle.log_a, bundle.log_b, p), defect)
-
-
-def _run_distance_bound(bundle: SampleBundle, p: float) -> list[_Row]:
-    defect = commutator_defect(bundle.a, bundle.b)
-    return _rows_from_report(check_distance_lower_bound(bundle.a, bundle.b, p), defect)
-
-
-def _run_triple(check) -> Callable[[SampleBundle, float], list[_Row]]:
-    def run(bundle: SampleBundle, p: float) -> list[_Row]:
-        defect = commutator_defect(bundle.a, bundle.b)
-        return _rows_from_report(check(bundle.a, bundle.b, bundle.c, p), defect)
-
-    return run
-
-
-def _run_sphere(check) -> Callable[[SampleBundle, float], list[_Row]]:
-    def run(bundle: SampleBundle, p: float) -> list[_Row]:
-        a_sphere = project_to_unit_sphere(bundle.a, p)
-        b_sphere = project_to_unit_sphere(bundle.b, p)
-        defect = commutator_defect(a_sphere, b_sphere)
-        return _rows_from_report(check(a_sphere, b_sphere, p), defect)
-
-    return run
-
-
-def _run_log_majorization(bundle: SampleBundle, p: float) -> list[_Row]:
-    verdict = check_log_majorization_lemma(bundle.log_a, bundle.log_b)
-    sum_trace = float(np.trace(bundle.log_a.array + bundle.log_b.array).real)
-    bch_trace = sum_trace + float(verdict.slack[-1])
-    gap = float(verdict.slack.min())
-    defect = commutator_defect(bundle.log_a, bundle.log_b)
-    return [("log_majorization", sum_trace, bch_trace, gap, verdict.holds, defect)]
-
-
-@dataclass(frozen=True)
-class CheckerSpec:
-    key: str
-    p_valid: Callable[[float], bool]
-    runner: Callable[[SampleBundle, float], list[_Row]]
-    p_independent: bool = False
-
-
-def _finite(p: float) -> bool:
-    return math.isfinite(p)
-
-
-CHECKERS: dict[str, CheckerSpec] = {
-    spec.key: spec
-    for spec in (
-        CheckerSpec("clarkson_mccarthy", lambda p: _finite(p) and p >= 1.0, _run_clarkson),
-        CheckerSpec("two_uniform_convexity", lambda p: 1.0 < p <= 2.0, _run_two_uniform),
-        CheckerSpec("hanner",
-                    lambda p: 1.0 <= p <= 4.0 / 3.0 or abs(p - 1.5) <= 1e-12, _run_hanner),
-        CheckerSpec("distance_lower_bound", lambda p: _finite(p) and p > 1.0,
-                    _run_distance_bound),
-        CheckerSpec("conde_2uc", lambda p: 1.0 < p <= 2.0, _run_triple(check_conde_2uc)),
-        CheckerSpec("sphere_2uc", lambda p: 1.0 < p <= 2.0, _run_sphere(check_sphere_2uc)),
-        CheckerSpec("p_convexity_high", lambda p: _finite(p) and p >= 2.0,
-                    _run_triple(check_p_convexity_high)),
-        CheckerSpec("sphere_high", lambda p: _finite(p) and p >= 2.0,
-                    _run_sphere(check_sphere_high)),
-        CheckerSpec("p_convexity_low", lambda p: 1.0 < p <= 2.0,
-                    _run_triple(check_p_convexity_low)),
-        CheckerSpec("sphere_low", lambda p: 1.0 < p <= 2.0, _run_sphere(check_sphere_low)),
-        CheckerSpec("log_majorization", lambda p: True, _run_log_majorization,
-                    p_independent=True),
-    )
-}
+def _family(bundle: SampleBundle, family: str, p: float):
+    """(values, commutator defect) of one checker family on one sample."""
+    if family == "sphere":
+        a, b = project_to_unit_sphere(bundle.a, p), project_to_unit_sphere(bundle.b, p)
+        return _sphere_spectra(a, b, p), commutator_defect(a, b)
+    if family == "triple":
+        return _triple_spectra(bundle.a, bundle.b, bundle.c), commutator_defect(bundle.a, bundle.b)
+    if family == "distance":
+        return _distance_spectra(bundle.a, bundle.b), commutator_defect(bundle.a, bundle.b)
+    logs = (bundle.log_a, bundle.log_b)
+    values = _pair_spectra(*logs) if family == "norms" else logs
+    return values, commutator_defect(*logs)
 
 
 def _sort_key(record: ScanRecord):
@@ -347,59 +240,54 @@ def _sort_key(record: ScanRecord):
 
 def run_campaign(config: SampleConfig, inequalities: Sequence[str],
                  p_values: Sequence[float], count: int, *,
-                 workers: int = 1, tol_rel: float | None = None) -> list[ScanRecord]:
+                 tol_rel: float | None = None) -> list[ScanRecord]:
     """Evaluate the requested inequalities on ``count`` ensemble samples.
 
     Each requested inequality runs at every requested order inside its
     validity range; an inequality left with no valid order raises
-    CheckerRangeError before any sampling.  Rows come back sorted by
-    (index, inequality, p) regardless of ``workers``, and ``tol_rel``
-    optionally overrides the satisfaction tolerance recorded per row.
+    CheckerRangeError before any sampling.  Per sample, each checker family
+    the plan needs is built once (sphere families once per order) and every
+    (checker, order) row is evaluated against it.  Rows come back sorted by
+    (index, inequality, p), and ``tol_rel`` optionally overrides the
+    satisfaction tolerance recorded per row.
     """
-    specs = []
     for name in inequalities:
         if name not in CHECKERS:
             raise ValueError(f"unknown inequality {name!r}; choose from {sorted(CHECKERS)}")
-        specs.append(CHECKERS[name])
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     p_list = [float(p) for p in p_values]
-    plan: list[tuple[CheckerSpec, float]] = []
-    for spec in specs:
-        if spec.p_independent:
-            plan.append((spec, math.nan))
-            continue
-        valid = [p for p in p_list if spec.p_valid(p)]
-        if not valid:
+    plan = []
+    for name in inequalities:
+        checker = CHECKERS[name]
+        orders = checker.orders(p_list)
+        if not orders:
             raise CheckerRangeError(
-                f"inequality {spec.key!r} accepts none of the requested orders {p_list}"
+                f"inequality {name!r} accepts none of the requested orders {p_list}"
             )
-        plan.extend((spec, p) for p in valid)
+        for p in orders:
+            plan.append((checker, p, (checker.family, p if checker.family == "sphere" else None)))
+    families = dict.fromkeys(key for _, _, key in plan)
 
-    def rows_for(index: int) -> list[ScanRecord]:
+    records = []
+    for index in range(count):
         bundle = sample_bundle(config, index)
         gamma = gamma_commute(bundle.a, bundle.b, bundle.c)
-        rows = []
-        for spec, p in plan:
-            for name, lhs, rhs, gap, satisfied, defect in spec.runner(bundle, p):
+        built = {key: _family(bundle, *key) for key in families}
+        for checker, p, key in plan:
+            values, defect = built[key]
+            for report in checker.evaluate(values, p):
+                satisfied = report.satisfied
                 if tol_rel is not None:
-                    satisfied = gap >= -tol_rel * max(1.0, abs(lhs), abs(rhs))
-                rows.append(ScanRecord(
+                    satisfied = report.gap >= -tol_rel * max(1.0, abs(report.lhs), abs(report.rhs))
+                records.append(ScanRecord(
                     index=index, dim=config.dim, spread=config.spread,
                     ensemble=config.ensemble, seed=config.seed, epsilon=config.epsilon,
-                    inequality=name, p=p, lhs=lhs, rhs=rhs, gap=gap,
-                    satisfied=bool(satisfied), commutator_defect=defect,
+                    inequality=report.name, p=p, lhs=report.lhs, rhs=report.rhs,
+                    gap=report.gap, satisfied=bool(satisfied), commutator_defect=defect,
                     gamma_defect_product=gamma.defect_product,
                     gamma_defect_bracket=gamma.defect_bracket,
                 ))
-        return rows
-
-    if workers <= 1:
-        nested = [rows_for(i) for i in range(count)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(rows_for, range(count)))
-    records = [row for rows in nested for row in rows]
     records.sort(key=_sort_key)
     return records
 
@@ -432,7 +320,7 @@ def gap_scan(A: SpdMatrix, B: SpdMatrix, eps_grid: Sequence[float], p, *,
             index=i, dim=A.dim, spread=math.nan, ensemble="near_commuting",
             seed=seed, epsilon=eps, inequality=report.name, p=float(p),
             lhs=report.lhs, rhs=report.rhs, gap=report.gap, satisfied=report.satisfied,
-            commutator_defect=commutator_defect(A, b_eps),
+            commutator_defect=report.diagnostics["commutator_defect"],
             gamma_defect_product=math.nan, gamma_defect_bracket=math.nan,
         ))
     return records

@@ -20,6 +20,7 @@ import numpy as np
 from .matcore import (
     HermitianMatrix,
     SpdMatrix,
+    _assemble,
     as_matrix,
     commutator_defect,
     mat_pow,
@@ -52,23 +53,25 @@ def _check_same_dim(A: SpdMatrix, B: SpdMatrix) -> None:
         raise ValueError(f"dimension mismatch: {A.dim} vs {B.dim}")
 
 
-def _spectral_array(dec, values: np.ndarray) -> np.ndarray:
-    out = (dec.unitary * values) @ dec.unitary.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
 def _inv_sqrt_array(A: SpdMatrix) -> np.ndarray:
     dec = A.eig()
-    return _spectral_array(dec, dec.eigenvalues ** -0.5)
+    return _assemble(dec.unitary, dec.eigenvalues ** -0.5)
 
 
 def _sqrt_array(A: SpdMatrix) -> np.ndarray:
     dec = A.eig()
-    return _spectral_array(dec, dec.eigenvalues**0.5)
+    return _assemble(dec.unitary, dec.eigenvalues**0.5)
 
 
 def _sandwich_log_eigs(A: SpdMatrix, B: SpdMatrix) -> np.ndarray:
-    """log of the eigenvalues of A^{-1/2} B A^{-1/2}, descending."""
+    """log of the eigenvalues of A^{-1/2} B A^{-1/2}, descending.
+
+    Equal arrays give the exact zero spectrum, so delta_p(A, A) is exactly 0
+    rather than the roundoff of the sandwich.
+    """
+    _check_same_dim(A, B)
+    if np.array_equal(A.array, B.array):
+        return np.zeros(A.dim)
     S = _inv_sqrt_array(A)
     M = S @ B.array @ S
     w = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
@@ -78,6 +81,16 @@ def _sandwich_log_eigs(A: SpdMatrix, B: SpdMatrix) -> np.ndarray:
             "inputs are too ill-conditioned"
         )
     return np.log(w[::-1])
+
+
+def _log_euclidean_eigs(A: SpdMatrix, B: SpdMatrix) -> np.ndarray:
+    """Eigenvalues of log A - log B, whose l^p norm is the log-Euclidean distance."""
+    _check_same_dim(A, B)
+    dec_a, dec_b = A.eig(), B.eig()
+    diff = _assemble(dec_a.unitary, np.log(dec_a.eigenvalues)) - _assemble(
+        dec_b.unitary, np.log(dec_b.eigenvalues)
+    )
+    return np.linalg.eigvalsh(diff)
 
 
 class GeodesicCurve:
@@ -119,12 +132,12 @@ class GeodesicCurve:
     def log_m(self) -> HermitianMatrix:
         """log(A^{-1/2} B A^{-1/2}); its p-norm is delta_p(A, B)."""
         return HermitianMatrix(
-            _spectral_array(self._mid_dec, np.log(self._mid_dec.eigenvalues))
+            _assemble(self._mid_dec.unitary, np.log(self._mid_dec.eigenvalues))
         )
 
     def eval(self, t: float) -> SpdMatrix:
         """Point on the geodesic at parameter t (SPD for every real t)."""
-        inner = _spectral_array(self._mid_dec, self._mid_dec.eigenvalues ** float(t))
+        inner = _assemble(self._mid_dec.unitary, self._mid_dec.eigenvalues ** float(t))
         out = self._sqrt_a @ inner @ self._sqrt_a
         return SpdMatrix(0.5 * (out + out.conj().T))
 
@@ -133,7 +146,7 @@ class GeodesicCurve:
     def derivative(self, t: float) -> HermitianMatrix:
         """Analytic velocity A^{1/2} M^t log(M) A^{1/2} at parameter t."""
         lam = self._mid_dec.eigenvalues
-        inner = _spectral_array(self._mid_dec, lam ** float(t) * np.log(lam))
+        inner = _assemble(self._mid_dec.unitary, lam ** float(t) * np.log(lam))
         out = self._sqrt_a @ inner @ self._sqrt_a
         return HermitianMatrix(0.5 * (out + out.conj().T))
 
@@ -158,7 +171,6 @@ def delta_p(A: SpdMatrix, B: SpdMatrix, p) -> float:
     Symmetric in (A, B) and zero exactly when A = B.
     """
     p = _validate_p(p)
-    _check_same_dim(A, B)
     return _lp(_sandwich_log_eigs(A, B), p)
 
 
@@ -171,12 +183,7 @@ def delta_p_to_identity(U: SpdMatrix, p) -> float:
 def log_euclidean_dist(A: SpdMatrix, B: SpdMatrix, p) -> float:
     """The log-Euclidean lower bound ||log(A) - log(B)||_p."""
     p = _validate_p(p)
-    _check_same_dim(A, B)
-    dec_a, dec_b = A.eig(), B.eig()
-    diff = _spectral_array(dec_a, np.log(dec_a.eigenvalues)) - _spectral_array(
-        dec_b, np.log(dec_b.eigenvalues)
-    )
-    return _lp(np.linalg.eigvalsh(diff), p)
+    return _lp(_log_euclidean_eigs(A, B), p)
 
 
 def _speed_from_arrays(point: SpdMatrix, velocity: np.ndarray, p: float) -> float:
@@ -259,7 +266,7 @@ def gamma_commute(A: SpdMatrix, B: SpdMatrix, C: SpdMatrix,
     _check_same_dim(A, B)
     _check_same_dim(A, C)
     dec_b = B.eig()
-    b_inv = _spectral_array(dec_b, 1.0 / dec_b.eigenvalues)
+    b_inv = _assemble(dec_b.unitary, 1.0 / dec_b.eigenvalues)
     product = A.array @ b_inv @ C.array
     defect_product = float(np.linalg.norm(product - product.conj().T)) / (
         float(np.linalg.norm(A.array))

@@ -252,8 +252,14 @@ def eigh(H) -> EigenDecomposition:
     return HermitianMatrix(H).eig()
 
 
-def _assemble(dec: EigenDecomposition, values: np.ndarray) -> np.ndarray:
-    return (dec.unitary * values) @ dec.unitary.conj().T
+def _assemble(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Hermitian part of ``basis @ diag(values) @ basis^H``.
+
+    The one spectral-assembly routine: matrix functions, geodesic factors
+    and the sampled ensembles all build their matrices here.
+    """
+    out = (basis * values) @ basis.conj().T
+    return 0.5 * (out + out.conj().T)
 
 
 def mat_fn(A, f) -> HermitianMatrix:
@@ -294,7 +300,7 @@ def mat_fn(A, f) -> HermitianMatrix:
         raise MatrixFunctionDomainError(
             f"scalar function undefined (non-finite) at eigenvalue(s) {bad}"
         )
-    return HermitianMatrix(_assemble(dec, vals))
+    return HermitianMatrix(_assemble(dec.unitary, vals))
 
 
 def mat_log(A) -> HermitianMatrix:

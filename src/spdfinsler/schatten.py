@@ -21,9 +21,7 @@ __all__ = [
     "singular_values",
     "schatten_norm",
     "weak_majorizes",
-    "majorizes",
     "weak_log_majorizes",
-    "log_majorizes",
     "power_sum",
     "is_permutation_of",
 ]
@@ -179,11 +177,6 @@ def weak_majorizes(a, b) -> MajorizationVerdict:
     return _prefix_verdict(av, bv, tol)
 
 
-def majorizes(a, b) -> MajorizationVerdict:
-    """Full majorization verdict a ≺ b; read the ``holds`` field."""
-    return weak_majorizes(a, b)
-
-
 def _log_prefix_verdict(a: np.ndarray, b: np.ndarray, tol: float) -> MajorizationVerdict:
     n = a.size
     # Descending nonnegative vectors put zeros in trailing positions, so a
@@ -232,11 +225,6 @@ def weak_log_majorizes(a, b) -> MajorizationVerdict:
     if av[-1] < 0.0 or bv[-1] < 0.0:
         raise ValueError("log majorization requires nonnegative spectra")
     return _log_prefix_verdict(av, bv, LOG_MAJORIZATION_TOL)
-
-
-def log_majorizes(a, b) -> MajorizationVerdict:
-    """Full log-majorization verdict a ≺_log b; read the ``holds`` field."""
-    return weak_log_majorizes(a, b)
 
 
 def power_sum(a, p) -> float:

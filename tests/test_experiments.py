@@ -11,9 +11,6 @@ from spdfinsler import (
     gamma_commute,
     is_commuting,
     mix_seed,
-    sample_spd,
-    sample_spd_pair,
-    sample_spd_triple,
 )
 from spdfinsler.experiments import (
     CHECKERS,
@@ -59,9 +56,10 @@ class TestEnsembles:
 
     def test_pair_and_triple_are_prefixes(self):
         config = SampleConfig(dim=3, ensemble="generic", seed=5)
-        a = sample_spd(config, 0)
-        pa, pb = sample_spd_pair(config, 0)
-        ta, tb, tc = sample_spd_triple(config, 0)
+        a = sample_bundle(config, 0).a
+        pair, triple = sample_bundle(config, 0), sample_bundle(config, 0)
+        pa, pb = pair.a, pair.b
+        ta, tb, tc = triple.a, triple.b, triple.c
         assert np.array_equal(a.array, pa.array)
         assert np.array_equal(pa.array, ta.array)
         assert np.array_equal(pb.array, tb.array)
@@ -70,20 +68,23 @@ class TestEnsembles:
     def test_commuting_pair_commutes(self):
         config = SampleConfig(dim=4, ensemble="commuting_pair", seed=1)
         for i in range(10):
-            a, b = sample_spd_pair(config, i)
+            bundle = sample_bundle(config, i)
+            a, b = bundle.a, bundle.b
             tol = 1e-10 * a.frobenius() * b.frobenius()
             assert is_commuting(a, b, tol)
 
     def test_commuting_triple_commutes_pairwise(self):
         config = SampleConfig(dim=3, ensemble="commuting_triple", seed=2)
-        a, b, c = sample_spd_triple(config, 0)
+        bundle = sample_bundle(config, 0)
+        a, b, c = bundle.a, bundle.b, bundle.c
         for x, y in ((a, b), (a, c), (b, c)):
             assert is_commuting(x, y, 1e-10 * x.frobenius() * y.frobenius())
 
     def test_gamma_triple_gamma_commutes(self):
         config = SampleConfig(dim=3, ensemble="gamma_commuting_triple", seed=3)
         for i in range(10):
-            assert gamma_commute(*sample_spd_triple(config, i)).holds
+            bundle = sample_bundle(config, i)
+            assert gamma_commute(bundle.a, bundle.b, bundle.c).holds
 
     def test_near_commuting_zero_epsilon_is_base_pair(self):
         base = SampleConfig(dim=3, ensemble="near_commuting", seed=4, epsilon=0.0)
@@ -107,8 +108,8 @@ class TestEnsembles:
         assert defects[2] > defects[1]
 
     def test_spread_scales_samples(self):
-        small = sample_spd(SampleConfig(dim=3, spread=0.1, seed=6), 0)
-        wide = sample_spd(SampleConfig(dim=3, spread=2.0, seed=6), 0)
+        small = sample_bundle(SampleConfig(dim=3, spread=0.1, seed=6), 0).a
+        wide = sample_bundle(SampleConfig(dim=3, spread=2.0, seed=6), 0).a
         from spdfinsler import delta_p_to_identity
 
         assert delta_p_to_identity(small, 2) < delta_p_to_identity(wide, 2)
@@ -131,12 +132,6 @@ class TestRunCampaign:
         first = run_campaign(config, ALL_INEQUALITIES, P_GRID, 4)
         second = run_campaign(config, ALL_INEQUALITIES, P_GRID, 4)
         assert render_csv(first) == render_csv(second)
-
-    def test_parallel_matches_serial(self):
-        config = SampleConfig(dim=3, seed=9)
-        serial = run_campaign(config, ALL_INEQUALITIES, P_GRID, 6, workers=1)
-        parallel = run_campaign(config, ALL_INEQUALITIES, P_GRID, 6, workers=4)
-        assert render_csv(serial) == render_csv(parallel)
 
     def test_range_gating_filters_per_checker(self):
         config = SampleConfig(dim=2, seed=10)
@@ -163,8 +158,8 @@ class TestRunCampaign:
         from spdfinsler import delta_p, identity
 
         assert delta_p(identity(2), identity(2), 1.0) == 0.0
-        assert not CHECKERS["distance_lower_bound"].p_valid(1.0)
-        assert CHECKERS["distance_lower_bound"].p_valid(1.0 + 1e-9)
+        assert 1.0 not in CHECKERS["distance_lower_bound"].p_range
+        assert 1.0 + 1e-9 in CHECKERS["distance_lower_bound"].p_range
 
     def test_negative_count(self):
         config = SampleConfig(dim=2, seed=13)
@@ -194,7 +189,8 @@ class TestRunCampaign:
 class TestGapScan:
     def test_zero_epsilon_row_vanishes_for_commuting_base(self):
         config = SampleConfig(dim=3, ensemble="commuting_pair", seed=17)
-        a, b = sample_spd_pair(config, 0)
+        bundle = sample_bundle(config, 0)
+        a, b = bundle.a, bundle.b
         records = gap_scan(a, b, [0.0, 0.1, 0.2], 2.0, seed=17)
         assert records[0].gap <= 1e-9
         assert records[0].commutator_defect <= 1e-10 * a.frobenius() * b.frobenius()
@@ -202,7 +198,8 @@ class TestGapScan:
 
     def test_gap_trend_recorded(self):
         config = SampleConfig(dim=3, ensemble="commuting_pair", seed=18)
-        a, b = sample_spd_pair(config, 0)
+        bundle = sample_bundle(config, 0)
+        a, b = bundle.a, bundle.b
         records = gap_scan(a, b, [0.0, 0.25, 0.5, 1.0], 2.0, seed=18)
         # trend is reported, not asserted; defects must still grow off zero
         assert records[-1].commutator_defect > records[0].commutator_defect

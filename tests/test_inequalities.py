@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from spdfinsler import (
+    CHECKERS,
     CheckerRangeError,
     HermitianMatrix,
+    SampleConfig,
     SpdMatrix,
     UnprovenRangeError,
     check_clarkson_mccarthy,
@@ -24,6 +26,7 @@ from spdfinsler import (
     geometric_mean,
     identity,
     project_to_unit_sphere,
+    run_campaign,
 )
 
 import oracles
@@ -407,3 +410,70 @@ class TestReportContract:
         g1 = check_distance_lower_bound(a, b, 2.0).gap
         g2 = check_distance_lower_bound(b, a, 2.0).gap
         assert g1 == pytest.approx(g2, rel=1e-8, abs=1e-10)
+
+
+RANGE_PROBES = (0.5, 1.0, 1.0 + 1e-9, 4.0 / 3.0, 1.4, 1.5, 2.0, 3.0, np.inf, np.nan)
+ABOVE_ONE_TO_TWO = {1.0 + 1e-9, 4.0 / 3.0, 1.4, 1.5, 2.0}
+# Each gated checker's in-range probes, as the README states its range.
+TABLE_RANGES = {
+    "clarkson_mccarthy": {1.0, 1.0 + 1e-9, 4.0 / 3.0, 1.4, 1.5, 2.0, 3.0},
+    "two_uniform_convexity": ABOVE_ONE_TO_TWO,
+    "hanner": {1.0, 1.0 + 1e-9, 4.0 / 3.0, 1.5},
+    "distance_lower_bound": {1.0 + 1e-9, 4.0 / 3.0, 1.4, 1.5, 2.0, 3.0},
+    "conde_2uc": ABOVE_ONE_TO_TWO,
+    "sphere_2uc": ABOVE_ONE_TO_TWO,
+    "p_convexity_high": {2.0, 3.0},
+    "sphere_high": {2.0, 3.0},
+    "p_convexity_low": ABOVE_ONE_TO_TWO,
+    "sphere_low": ABOVE_ONE_TO_TWO,
+}
+
+
+def _call_public(name, p):
+    rng = make_rng(33)
+    x, y = random_hermitian(rng, 2), random_hermitian(rng, 2)
+    a, b, c = (random_spd(rng, 2) for _ in range(3))
+    if name.startswith("sphere"):
+        # out-of-range orders must fail at the gate, before the sphere check
+        q = p if p in TABLE_RANGES[name] else 2.0
+        a, b = project_to_unit_sphere(a, q), project_to_unit_sphere(b, q)
+    calls = {
+        "clarkson_mccarthy": lambda: check_clarkson_mccarthy(x, y, p),
+        "two_uniform_convexity": lambda: check_two_uniform_convexity_norm(x, y, p),
+        "hanner": lambda: check_hanner_matrix(x, y, p),
+        "distance_lower_bound": lambda: check_distance_lower_bound(a, b, p),
+        "conde_2uc": lambda: check_conde_2uc(a, b, c, p),
+        "sphere_2uc": lambda: check_sphere_2uc(a, b, p),
+        "p_convexity_high": lambda: check_p_convexity_high(a, b, c, p),
+        "sphere_high": lambda: check_sphere_high(a, b, p),
+        "p_convexity_low": lambda: check_p_convexity_low(a, b, c, p),
+        "sphere_low": lambda: check_sphere_low(a, b, p),
+    }
+    return calls[name]()
+
+
+class TestCheckerTable:
+    def test_every_gated_checker_is_probed(self):
+        gated = {name for name, checker in CHECKERS.items() if checker.p_range is not None}
+        assert gated == set(TABLE_RANGES)
+        assert CHECKERS["log_majorization"].orders(RANGE_PROBES) != []
+
+    @pytest.mark.parametrize("name", sorted(TABLE_RANGES))
+    def test_public_gate_and_campaign_agree_with_table(self, name):
+        expected = TABLE_RANGES[name]
+        assert {p for p in RANGE_PROBES if p in CHECKERS[name].p_range} == expected
+        for p in RANGE_PROBES:
+            if name == "distance_lower_bound":
+                # the public checker accepts every Schatten order p >= 1
+                if np.isnan(p) or p < 1.0:
+                    with pytest.raises(ValueError):
+                        _call_public(name, p)
+                else:
+                    _call_public(name, p)
+            elif p in expected:
+                _call_public(name, p)
+            else:
+                with pytest.raises(CheckerRangeError):
+                    _call_public(name, p)
+        records = run_campaign(SampleConfig(dim=2, seed=34), [name], RANGE_PROBES, 1)
+        assert {r.p for r in records} == expected
