@@ -17,9 +17,9 @@ from .experiments import (
     SampleConfig,
     gap_scan,
     mix_seed,
-    render_csv,
     run_campaign,
     sample_bundle,
+    write_csv,
 )
 from .selftest import run_selftest
 
@@ -111,17 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(records, comments, out_path) -> None:
-    text = render_csv(records, comments)
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-
-
-def _campaign_records(args) -> list:
-    ineqs = _resolve_inequalities(args.ineq, args.p)
+def _campaign_records(args, ineqs: list[str]) -> list:
     epsilons = args.eps_grid if args.ensemble == "near_commuting" else [0.0]
     records = []
     for dim in args.dim:
@@ -133,8 +123,7 @@ def _campaign_records(args) -> list:
     return records
 
 
-def _campaign_comments(args) -> list[str]:
-    ineqs = _resolve_inequalities(args.ineq, args.p)
+def _campaign_comments(args, ineqs: list[str]) -> list[str]:
     return [
         f"rng: {RNG_IDENTITY}",
         f"cmd: {args.subcommand}",
@@ -150,8 +139,10 @@ def _campaign_comments(args) -> list[str]:
 
 
 def _run_verify(args, gate: bool) -> int:
-    records = _campaign_records(args)
-    _emit(records, _campaign_comments(args), args.out)
+    ineqs = _resolve_inequalities(args.ineq, args.p)
+    records = _campaign_records(args, ineqs)
+    write_csv(records, sys.stdout if args.out is None else args.out,
+              _campaign_comments(args, ineqs))
     bad = sum(1 for r in records if not r.satisfied)
     print(f"{args.subcommand}: {len(records)} rows, {bad} unsatisfied", file=sys.stderr)
     if gate and bad > 0:
@@ -177,7 +168,7 @@ def _run_gap_study(args) -> int:
         f"seed: {args.seed}",
         f"eps-grid: {','.join(repr(e) for e in args.eps_grid)}",
     ]
-    _emit(records, comments, args.out)
+    write_csv(records, sys.stdout if args.out is None else args.out, comments)
     print(f"gap-study: {len(records)} rows", file=sys.stderr)
     return 0
 

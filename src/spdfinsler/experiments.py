@@ -128,16 +128,20 @@ def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def _random_invertible(rng: np.random.Generator, dim: int,
-                       cond_limit: float = CONDITION_GUARD,
-                       max_attempts: int = CONDITION_GUARD_ATTEMPTS) -> np.ndarray:
-    for _ in range(max_attempts):
+def _unit_direction(rng: np.random.Generator, dim: int) -> HermitianMatrix:
+    """A random Hermitian direction of unit Frobenius norm."""
+    direction = _random_hermitian(rng, dim, 1.0)
+    return HermitianMatrix(direction.array / direction.frobenius())
+
+
+def _random_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:
+    for _ in range(CONDITION_GUARD_ATTEMPTS):
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        if np.linalg.cond(x) <= cond_limit:
+        if np.linalg.cond(x) <= CONDITION_GUARD:
             return x
     raise RuntimeError(
-        f"no conjugating matrix with condition <= {cond_limit:g} found "
-        f"in {max_attempts} attempts"
+        f"no conjugating matrix with condition <= {CONDITION_GUARD:g} found "
+        f"in {CONDITION_GUARD_ATTEMPTS} attempts"
     )
 
 
@@ -187,8 +191,7 @@ def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
     basis = _random_unitary(rng, dim)
     a, log_a = _from_basis(basis, sigma * rng.standard_normal(dim))
     b0, log_b0 = _from_basis(basis, sigma * rng.standard_normal(dim))
-    direction = _random_hermitian(rng, dim, 1.0)
-    direction = HermitianMatrix(direction.array / direction.frobenius())
+    direction = _unit_direction(rng, dim)
     h3 = _random_hermitian(rng, dim, sigma)
     if config.epsilon == 0.0:
         b, log_b = b0, log_b0
@@ -306,8 +309,7 @@ def gap_scan(A: SpdMatrix, B: SpdMatrix, eps_grid: Sequence[float], p, *,
     if not grid or grid[0] != 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("eps grid must be strictly ascending and start at 0")
     rng = np.random.default_rng(mix_seed(seed, 0))
-    direction = _random_hermitian(rng, A.dim, 1.0)
-    direction = HermitianMatrix(direction.array / direction.frobenius())
+    direction = _unit_direction(rng, A.dim)
     log_b = mat_log(B)
     records = []
     for i, eps in enumerate(grid):

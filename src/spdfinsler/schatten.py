@@ -146,8 +146,8 @@ def schatten_norm(M, p) -> float:
     return _lp(singular_values(M).values, p)
 
 
-def _prefix_verdict(a: np.ndarray, b: np.ndarray, tol: float) -> MajorizationVerdict:
-    slack = np.cumsum(b) - np.cumsum(a)
+def _verdict(slack: np.ndarray, tol: float) -> MajorizationVerdict:
+    """Verdict from per-prefix slack (nonnegative means satisfied) at tolerance tol."""
     slack.flags.writeable = False
     violated = slack < -tol
     weak = not bool(violated.any())
@@ -174,10 +174,10 @@ def weak_majorizes(a, b) -> MajorizationVerdict:
     if av.size != bv.size:
         raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
     tol = MAJORIZATION_RTOL * (1.0 + float(np.abs(bv).sum()))
-    return _prefix_verdict(av, bv, tol)
+    return _verdict(np.cumsum(bv) - np.cumsum(av), tol)
 
 
-def _log_prefix_verdict(a: np.ndarray, b: np.ndarray, tol: float) -> MajorizationVerdict:
+def _log_prefix_slack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.size
     # Descending nonnegative vectors put zeros in trailing positions, so a
     # prefix product is positive iff it ends before the first zero.
@@ -197,18 +197,7 @@ def _log_prefix_verdict(a: np.ndarray, b: np.ndarray, tol: float) -> Majorizatio
             slack[k] = np.inf  # 0 <= positive product
         else:
             slack[k] = -np.inf  # positive product vs zero: violated
-    slack.flags.writeable = False
-    violated = slack < -tol
-    weak = not bool(violated.any())
-    first = None if weak else int(np.argmax(violated))
-    tight = bool(abs(slack[-1]) <= tol)
-    return MajorizationVerdict(
-        holds=weak and tight,
-        weak=weak,
-        tight_at_end=tight,
-        first_violation_index=first,
-        slack=slack,
-    )
+    return slack
 
 
 def weak_log_majorizes(a, b) -> MajorizationVerdict:
@@ -224,7 +213,7 @@ def weak_log_majorizes(a, b) -> MajorizationVerdict:
         raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
     if av[-1] < 0.0 or bv[-1] < 0.0:
         raise ValueError("log majorization requires nonnegative spectra")
-    return _log_prefix_verdict(av, bv, LOG_MAJORIZATION_TOL)
+    return _verdict(_log_prefix_slack(av, bv), LOG_MAJORIZATION_TOL)
 
 
 def power_sum(a, p) -> float:

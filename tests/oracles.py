@@ -2,8 +2,10 @@
 
 Everything here runs through mpmath's arbitrary-precision symmetric
 eigensolver and never touches the numpy-based package under test, so the
-values it produces are independent oracles.  Run as a script to print the
-frozen-constant table used by the test suite:
+values it produces are independent oracles.  The witness pair and its frozen
+values live in ``spdfinsler.selftest``; they are imported here so the test
+suite and the selftest share one copy.  Run as a script to print the
+frozen-constant table from the live oracle:
 
     python3 tests/oracles.py
 """
@@ -11,6 +13,13 @@ frozen-constant table used by the test suite:
 from __future__ import annotations
 
 import mpmath as mp
+
+from spdfinsler.selftest import (  # noqa: F401  (re-exported to the tests)
+    FROZEN_WITNESS,
+    FROZEN_WITNESS_MEAN,
+    WITNESS_A,
+    WITNESS_B,
+)
 
 DPS = 50
 
@@ -70,28 +79,6 @@ def weighted_mean_ref(a_rows, b_rows, t) -> mp.matrix:
         M = S * B * S
         t = mp.mpf(t)
         return R * sym_fn(M, lambda x: mp.power(x, t)) * R
-
-
-# The fixed noncommuting witness pair used throughout the suite.
-WITNESS_A = ((2, 1), (1, 2))
-WITNESS_B = ((1, 0), (0, 4))
-
-# Output of witness_table() at 50 digits, frozen before the implementation
-# was written: p -> (delta_p, log_euclidean, gap), rounded to 17 significant
-# digits.  test_acceptance re-derives these from the oracle to guard drift.
-FROZEN_WITNESS = {
-    1.1: (1.7109106407943873, 1.6630143238264227, 0.04789631696796457),
-    1.5: (1.4534857734835593, 1.4132057826322309, 0.040279990851328377),
-    2.0: (1.3028482875855698, 1.2671862513647194, 0.035662036220850478),
-    3.0: (1.1744306468312872, 1.1430212523717212, 0.031409394459565979),
-    4.0: (1.1207363445774876, 1.0913723239087619, 0.029364020668725716),
-}
-
-# weighted_mean_ref(WITNESS_A, WITNESS_B, 0.5), same freeze discipline.
-FROZEN_WITNESS_MEAN = (
-    (1.393171556269222, 0.48609881630135268),
-    (0.48609881630135268, 2.6560933272687718),
-)
 
 
 def witness_table(p_values=(1.1, 1.5, 2.0, 3.0, 4.0)):

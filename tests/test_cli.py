@@ -1,13 +1,34 @@
 """Tests for the command-line harness: exit codes, determinism, output routing."""
 
+from spdfinsler import CHECKERS, selftest
 from spdfinsler.cli import main
+
+FIXED_CHECKS = [
+    "inequalities.equality_cases",
+    "experiments.campaign_determinism",
+    "geodesic.frozen_witness",
+]
 
 
 def test_selftest_passes(capsys):
+    names = [name for name, _ in selftest.CHECKS]
+    assert names == [f"inequalities.{key}" for key in CHECKERS] + FIXED_CHECKS
     assert main(["selftest", "--seed", "42"]) == 0
-    err = capsys.readouterr().err
-    assert "ok   matcore.reconstruction" in err
-    assert "FAIL" not in err
+    assert capsys.readouterr().err.splitlines() == [f"ok   {name}" for name in names]
+
+
+def test_selftest_reports_failing_check_and_runs_the_rest(capsys, monkeypatch):
+    def planted(seed):
+        raise AssertionError(f"planted failure at seed {seed}")
+
+    checks = list(selftest.CHECKS)
+    broken = checks[3][0]
+    checks[3] = (broken, planted)
+    monkeypatch.setattr(selftest, "CHECKS", tuple(checks))
+    assert main(["selftest", "--seed", "7"]) == 1
+    expected = [f"ok   {name}" for name, _ in checks]
+    expected[3] = f"FAIL {broken}: planted failure at seed 7"
+    assert capsys.readouterr().err.splitlines() == expected
 
 
 def test_verify_commuting_pair_distance_bound(tmp_path, capsys):

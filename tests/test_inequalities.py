@@ -404,6 +404,14 @@ class TestReportContract:
             g1, g2 = check(a, b, c, p).gap, check(b, a, c, p).gap
             assert g1 == pytest.approx(g2, rel=1e-8, abs=1e-10)
 
+    def test_hanner_swap_symmetry(self):
+        rng = make_rng(32)
+        for _ in range(4):
+            x, y = random_hermitian(rng, 3), random_hermitian(rng, 3)
+            g1 = check_hanner_matrix(x, y, 1.25).gap
+            g2 = check_hanner_matrix(y, x, 1.25).gap
+            assert g1 == pytest.approx(g2, rel=1e-9, abs=1e-10)
+
     def test_distance_bound_swap_symmetry(self):
         rng = make_rng(31)
         a, b = random_spd(rng, 3), random_spd(rng, 3)
