@@ -19,6 +19,7 @@ from .matcore import (
     HermitianMatrix,
     SpdMatrix,
     _assemble,
+    _hermitian_part,
     commutator_defect,
     mat_exp,
     mat_log,
@@ -29,6 +30,7 @@ from .inequalities import (
     CheckerRangeError,
     _distance_spectra,
     _pair_spectra,
+    _satisfied,
     _sphere_spectra,
     _triple_spectra,
     check_distance_lower_bound,
@@ -118,7 +120,7 @@ def _rng_for(config: SampleConfig, index: int) -> np.random.Generator:
 
 def _random_hermitian(rng: np.random.Generator, dim: int, sigma: float) -> HermitianMatrix:
     g = sigma * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return HermitianMatrix(0.5 * (g + g.conj().T))
+    return HermitianMatrix(_hermitian_part(g))
 
 
 def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -280,14 +282,13 @@ def run_campaign(config: SampleConfig, inequalities: Sequence[str],
         for checker, p, key in plan:
             values, defect = built[key]
             for report in checker.evaluate(values, p):
-                satisfied = report.satisfied
-                if tol_rel is not None:
-                    satisfied = report.gap >= -tol_rel * max(1.0, abs(report.lhs), abs(report.rhs))
+                satisfied = report.satisfied if tol_rel is None else _satisfied(
+                    report.gap, report.lhs, report.rhs, tol_rel)
                 records.append(ScanRecord(
                     index=index, dim=config.dim, spread=config.spread,
                     ensemble=config.ensemble, seed=config.seed, epsilon=config.epsilon,
                     inequality=report.name, p=p, lhs=report.lhs, rhs=report.rhs,
-                    gap=report.gap, satisfied=bool(satisfied), commutator_defect=defect,
+                    gap=report.gap, satisfied=satisfied, commutator_defect=defect,
                     gamma_defect_product=gamma.defect_product,
                     gamma_defect_bracket=gamma.defect_bracket,
                 ))

@@ -21,7 +21,8 @@ from .matcore import (
     HermitianMatrix,
     SpdMatrix,
     _assemble,
-    as_matrix,
+    _hermitian_part,
+    _matching,
     commutator_defect,
     mat_pow,
 )
@@ -48,19 +49,15 @@ SPHERE_TOL = 1e-8
 FINITE_DIFF_STEP = 1e-5
 
 
-def _check_same_dim(A: SpdMatrix, B: SpdMatrix) -> None:
-    if A.dim != B.dim:
-        raise ValueError(f"dimension mismatch: {A.dim} vs {B.dim}")
-
-
-def _inv_sqrt_array(A: SpdMatrix) -> np.ndarray:
+def _power_array(A: SpdMatrix, t: float) -> np.ndarray:
+    """Entries of A^t from the cached spectrum of A."""
     dec = A.eig()
-    return _assemble(dec.unitary, dec.eigenvalues ** -0.5)
+    return _assemble(dec.unitary, dec.eigenvalues ** t)
 
 
-def _sqrt_array(A: SpdMatrix) -> np.ndarray:
-    dec = A.eig()
-    return _assemble(dec.unitary, dec.eigenvalues**0.5)
+def _congruence(S: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Hermitian part of S X S, for Hermitian S."""
+    return _hermitian_part(S @ X @ S)
 
 
 def _sandwich_log_eigs(A: SpdMatrix, B: SpdMatrix) -> np.ndarray:
@@ -69,12 +66,10 @@ def _sandwich_log_eigs(A: SpdMatrix, B: SpdMatrix) -> np.ndarray:
     Equal arrays give the exact zero spectrum, so delta_p(A, A) is exactly 0
     rather than the roundoff of the sandwich.
     """
-    _check_same_dim(A, B)
-    if np.array_equal(A.array, B.array):
+    Aa, Ba = _matching(A, B)
+    if np.array_equal(Aa, Ba):
         return np.zeros(A.dim)
-    S = _inv_sqrt_array(A)
-    M = S @ B.array @ S
-    w = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+    w = np.linalg.eigvalsh(_congruence(_power_array(A, -0.5), Ba))
     if w[0] <= 0.0:
         raise ValueError(
             "congruence sandwich lost positivity numerically; "
@@ -85,7 +80,7 @@ def _sandwich_log_eigs(A: SpdMatrix, B: SpdMatrix) -> np.ndarray:
 
 def _log_euclidean_eigs(A: SpdMatrix, B: SpdMatrix) -> np.ndarray:
     """Eigenvalues of log A - log B, whose l^p norm is the log-Euclidean distance."""
-    _check_same_dim(A, B)
+    _matching(A, B)
     dec_a, dec_b = A.eig(), B.eig()
     diff = _assemble(dec_a.unitary, np.log(dec_a.eigenvalues)) - _assemble(
         dec_b.unitary, np.log(dec_b.eigenvalues)
@@ -101,32 +96,12 @@ class GeodesicCurve:
     extrapolate the geodesic line.
     """
 
-    __slots__ = ("_a", "_b", "_sqrt_a", "_inv_sqrt_a", "_mid_dec")
+    __slots__ = ("_sqrt_a", "_mid_dec")
 
     def __init__(self, A: SpdMatrix, B: SpdMatrix):
-        _check_same_dim(A, B)
-        self._a = A
-        self._b = B
-        self._sqrt_a = _sqrt_array(A)
-        self._inv_sqrt_a = _inv_sqrt_array(A)
-        M = self._inv_sqrt_a @ B.array @ self._inv_sqrt_a
-        self._mid_dec = SpdMatrix(0.5 * (M + M.conj().T)).eig()
-
-    @property
-    def endpoint_a(self) -> SpdMatrix:
-        return self._a
-
-    @property
-    def endpoint_b(self) -> SpdMatrix:
-        return self._b
-
-    @property
-    def sqrt_a(self) -> HermitianMatrix:
-        return HermitianMatrix(self._sqrt_a)
-
-    @property
-    def inv_sqrt_a(self) -> HermitianMatrix:
-        return HermitianMatrix(self._inv_sqrt_a)
+        _, Ba = _matching(A, B)
+        self._sqrt_a = _power_array(A, 0.5)
+        self._mid_dec = SpdMatrix(_congruence(_power_array(A, -0.5), Ba)).eig()
 
     @property
     def log_m(self) -> HermitianMatrix:
@@ -135,20 +110,20 @@ class GeodesicCurve:
             _assemble(self._mid_dec.unitary, np.log(self._mid_dec.eigenvalues))
         )
 
+    def _inner(self, values: np.ndarray) -> np.ndarray:
+        """A^{1/2} f(M) A^{1/2} for the spectral values f(lambda_i) of M."""
+        return _congruence(self._sqrt_a, _assemble(self._mid_dec.unitary, values))
+
     def eval(self, t: float) -> SpdMatrix:
         """Point on the geodesic at parameter t (SPD for every real t)."""
-        inner = _assemble(self._mid_dec.unitary, self._mid_dec.eigenvalues ** float(t))
-        out = self._sqrt_a @ inner @ self._sqrt_a
-        return SpdMatrix(0.5 * (out + out.conj().T))
+        return SpdMatrix(self._inner(self._mid_dec.eigenvalues ** float(t)))
 
     __call__ = eval
 
     def derivative(self, t: float) -> HermitianMatrix:
         """Analytic velocity A^{1/2} M^t log(M) A^{1/2} at parameter t."""
         lam = self._mid_dec.eigenvalues
-        inner = _assemble(self._mid_dec.unitary, lam ** float(t) * np.log(lam))
-        out = self._sqrt_a @ inner @ self._sqrt_a
-        return HermitianMatrix(0.5 * (out + out.conj().T))
+        return HermitianMatrix(self._inner(lam ** float(t) * np.log(lam)))
 
 
 def weighted_mean(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
@@ -187,9 +162,8 @@ def log_euclidean_dist(A: SpdMatrix, B: SpdMatrix, p) -> float:
 
 
 def _speed_from_arrays(point: SpdMatrix, velocity: np.ndarray, p: float) -> float:
-    S = _inv_sqrt_array(point)
-    tangent = S @ velocity @ S
-    return schatten_norm(HermitianMatrix(0.5 * (tangent + tangent.conj().T)), p)
+    tangent = _congruence(_power_array(point, -0.5), velocity)
+    return schatten_norm(HermitianMatrix(tangent), p)
 
 
 def geodesic_speed(curve: GeodesicCurve, t: float, p) -> float:
@@ -222,13 +196,10 @@ def arc_length(curve: CurveLike, p, intervals: int = 64) -> float:
     else:
         h = FINITE_DIFF_STEP
 
-        def eval_spd(t: float) -> SpdMatrix:
-            point = curve(t)
-            return point if isinstance(point, SpdMatrix) else SpdMatrix(as_matrix(point))
-
         def speed(t: float) -> float:
-            point = eval_spd(t)
-            velocity = (eval_spd(t + h).array - eval_spd(t - h).array) / (2.0 * h)
+            point = SpdMatrix(curve(t))
+            ahead, behind = SpdMatrix(curve(t + h)), SpdMatrix(curve(t - h))
+            velocity = (ahead.array - behind.array) / (2.0 * h)
             return _speed_from_arrays(point, velocity, p)
 
     step = 1.0 / intervals
@@ -263,8 +234,8 @@ def gamma_commute(A: SpdMatrix, B: SpdMatrix, C: SpdMatrix,
     defects are reported; with ``C = I`` the predicate reduces to ordinary
     commuting of A and B.
     """
-    _check_same_dim(A, B)
-    _check_same_dim(A, C)
+    _matching(A, B)
+    _matching(A, C)
     dec_b = B.eig()
     b_inv = _assemble(dec_b.unitary, 1.0 / dec_b.eigenvalues)
     product = A.array @ b_inv @ C.array
@@ -273,7 +244,7 @@ def gamma_commute(A: SpdMatrix, B: SpdMatrix, C: SpdMatrix,
         * float(np.linalg.norm(b_inv))
         * float(np.linalg.norm(C.array))
     )
-    S = _inv_sqrt_array(A)
+    S = _power_array(A, -0.5)
     X = S @ B.array @ S
     Y = S @ C.array @ S
     defect_bracket = commutator_defect(X, Y) / (

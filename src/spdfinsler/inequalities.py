@@ -18,7 +18,15 @@ from typing import Callable
 
 import numpy as np
 
-from .matcore import HermitianMatrix, SpdMatrix, as_matrix, commutator_defect, mat_exp
+from .matcore import (
+    HermitianMatrix,
+    SpdMatrix,
+    _hermitian_part,
+    _matching,
+    as_matrix,
+    commutator_defect,
+    mat_exp,
+)
 from .schatten import (
     MajorizationVerdict,
     Spectrum,
@@ -91,16 +99,20 @@ class InequalityReport:
     diagnostics: dict[str, float] = field(default_factory=dict)
 
 
+def _satisfied(gap: float, lhs: float, rhs: float, rtol: float = REPORT_RTOL) -> bool:
+    """The verdict rule: gap >= -rtol * max(1, |lhs|, |rhs|)."""
+    return bool(gap >= -rtol * max(1.0, abs(lhs), abs(rhs)))
+
+
 def _report(name: str, p: float, lhs: float, rhs: float, gap: float,
             diagnostics: dict[str, float] | None = None) -> InequalityReport:
-    satisfied = gap >= -REPORT_RTOL * max(1.0, abs(lhs), abs(rhs))
     return InequalityReport(
         name=name,
         p=float(p),
         lhs=float(lhs),
         rhs=float(rhs),
         gap=float(gap),
-        satisfied=bool(satisfied),
+        satisfied=_satisfied(gap, lhs, rhs),
         diagnostics=dict(diagnostics or {}),
     )
 
@@ -159,9 +171,7 @@ class Checker:
 
 def _pair_spectra(X, Y) -> dict[str, np.ndarray]:
     """The "norms" family: singular spectra of X, Y, X+Y and X-Y."""
-    Xa, Ya = as_matrix(X), as_matrix(Y)
-    if Xa.shape != Ya.shape:
-        raise ValueError(f"dimension mismatch: {Xa.shape} vs {Ya.shape}")
+    Xa, Ya = _matching(X, Y)
     return {
         "norm_x": singular_values(Xa).values,
         "norm_y": singular_values(Ya).values,
@@ -417,12 +427,7 @@ def check_log_majorization_lemma(H: HermitianMatrix, K: HermitianMatrix) -> Majo
     slack entry is the trace difference and must vanish; the verdict is
     tight everywhere exactly when H and K commute.
     """
-    Ha = as_matrix(H)
-    Ka = as_matrix(K)
-    if Ha.shape != Ka.shape:
-        raise ValueError(f"dimension mismatch: {Ha.shape} vs {Ka.shape}")
-    Ha = 0.5 * (Ha + Ha.conj().T)
-    Ka = 0.5 * (Ka + Ka.conj().T)
+    Ha, Ka = (_hermitian_part(M) for M in _matching(H, K))
     sum_spectrum = Spectrum(np.linalg.eigvalsh(Ha + Ka))
     # lambda(e^{K/2} e^H e^{K/2}) = sigma(e^{H/2} e^{K/2})^2; the half-factor
     # product halves the condition-number amplification of the formed matrix.

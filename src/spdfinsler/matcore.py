@@ -49,9 +49,7 @@ class MatrixFunctionDomainError(ValueError):
 
 
 def as_matrix(value) -> np.ndarray:
-    """Entries of a HermitianMatrix / SpdMatrix / array-like as complex128."""
-    if isinstance(value, SpdMatrix):
-        return value.array
+    """Entries of a HermitianMatrix or array-like as complex128."""
     if isinstance(value, HermitianMatrix):
         return value.array
     arr = np.asarray(value, dtype=np.complex128)
@@ -60,10 +58,17 @@ def as_matrix(value) -> np.ndarray:
     return arr
 
 
-def _symmetrized(arr: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (arr + arr.conj().T)
-    sym.flags.writeable = False
-    return sym
+def _matching(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of two operands that must share one shape."""
+    Xa, Ya = as_matrix(X), as_matrix(Y)
+    if Xa.shape != Ya.shape:
+        raise ValueError(f"dimension mismatch: {Xa.shape} vs {Ya.shape}")
+    return Xa, Ya
+
+
+def _hermitian_part(arr: np.ndarray) -> np.ndarray:
+    """The Hermitian part (arr + arr^H) / 2 of a square array."""
+    return 0.5 * (arr + arr.conj().T)
 
 
 class HermitianMatrix:
@@ -71,8 +76,9 @@ class HermitianMatrix:
 
     Parameters
     ----------
-    entries : array-like, shape (dim, dim)
-        Square complex matrix.  Must satisfy
+    entries : HermitianMatrix or array-like, shape (dim, dim)
+        A HermitianMatrix shares its entries and cached eigendecomposition.
+        Otherwise a square complex matrix that must satisfy
         ``entries[i][j] == conj(entries[j][i])`` within an absolute
         tolerance of ``1e-12`` times the largest entry magnitude; the
         stored array is ``(entries + entries^H) / 2``.
@@ -87,6 +93,10 @@ class HermitianMatrix:
     __slots__ = ("_array", "_eig")
 
     def __init__(self, entries):
+        if isinstance(entries, HermitianMatrix):
+            self._array = entries._array
+            self._eig = entries._eig
+            return
         arr = np.array(entries, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -101,7 +111,8 @@ class HermitianMatrix:
                 f"input is not Hermitian: max |A - A^H| = {asym:.3e} exceeds "
                 f"{HERMITICITY_RTOL:.0e} * max|entry| = {HERMITICITY_RTOL * scale:.3e}"
             )
-        self._array = _symmetrized(arr)
+        self._array = _hermitian_part(arr)
+        self._array.flags.writeable = False
         self._eig = None
 
     @property
@@ -123,13 +134,13 @@ class HermitianMatrix:
         return float(np.linalg.norm(self._array))
 
     def __add__(self, other):
-        if isinstance(other, (HermitianMatrix, SpdMatrix)):
-            return HermitianMatrix(self._array + as_matrix(other))
+        if isinstance(other, HermitianMatrix):
+            return HermitianMatrix(self._array + other._array)
         return NotImplemented
 
     def __sub__(self, other):
-        if isinstance(other, (HermitianMatrix, SpdMatrix)):
-            return HermitianMatrix(self._array - as_matrix(other))
+        if isinstance(other, HermitianMatrix):
+            return HermitianMatrix(self._array - other._array)
         return NotImplemented
 
     def __neg__(self):
@@ -143,23 +154,24 @@ class HermitianMatrix:
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"HermitianMatrix(dim={self.dim})"
+        return f"{type(self).__name__}(dim={self.dim})"
 
 
-class SpdMatrix:
+class SpdMatrix(HermitianMatrix):
     """Hermitian matrix verified strictly positive definite at construction.
 
     The positivity gate requires ``lambda_min > 1e-10 * lambda_max``;
     ill-conditioned inputs are rejected rather than regularized.  The
     eigendecomposition computed for the gate is cached and reused by the
-    spectral functions.
+    spectral functions.  Arithmetic is inherited and returns a
+    HermitianMatrix.
     """
 
-    __slots__ = ("_base", "_eigdec")
+    __slots__ = ()
 
     def __init__(self, entries):
-        base = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(entries)
-        dec = base.eig()
+        super().__init__(entries)
+        dec = self.eig()
         lam_max = float(dec.eigenvalues[0])
         lam_min = float(dec.eigenvalues[-1])
         if not (lam_max > 0.0 and lam_min > SPD_EIGENVALUE_FLOOR * lam_max):
@@ -167,29 +179,6 @@ class SpdMatrix:
                 f"matrix is not safely positive definite: lambda_min = {lam_min:.6e}, "
                 f"lambda_max = {lam_max:.6e} (gate: lambda_min > 1e-10 * lambda_max)"
             )
-        self._base = base
-        self._eigdec = dec
-
-    @property
-    def base(self) -> HermitianMatrix:
-        return self._base
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._base.array
-
-    @property
-    def dim(self) -> int:
-        return self._base.dim
-
-    def eig(self) -> "EigenDecomposition":
-        return self._eigdec
-
-    def frobenius(self) -> float:
-        return self._base.frobenius()
-
-    def __repr__(self):
-        return f"SpdMatrix(dim={self.dim})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,10 +196,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     unitary: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def _eigh_array(arr: np.ndarray) -> EigenDecomposition:
@@ -245,8 +230,6 @@ def eigh(H) -> EigenDecomposition:
     EigenConvergenceError
         If the underlying solver fails to converge.
     """
-    if isinstance(H, SpdMatrix):
-        return H.eig()
     if isinstance(H, HermitianMatrix):
         return H.eig()
     return HermitianMatrix(H).eig()
@@ -258,8 +241,7 @@ def _assemble(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
     The one spectral-assembly routine: matrix functions, geodesic factors
     and the sampled ensembles all build their matrices here.
     """
-    out = (basis * values) @ basis.conj().T
-    return 0.5 * (out + out.conj().T)
+    return _hermitian_part((basis * values) @ basis.conj().T)
 
 
 def mat_fn(A, f) -> HermitianMatrix:
@@ -343,17 +325,13 @@ def conjugate(X, A) -> SpdMatrix:
     ValueError
         If X is singular or too ill-conditioned, or dimensions mismatch.
     """
-    Xa = as_matrix(X)
-    Aa = as_matrix(A)
-    if Xa.shape != Aa.shape:
-        raise ValueError(f"dimension mismatch: X is {Xa.shape}, A is {Aa.shape}")
+    Xa, Aa = _matching(X, A)
     cond = np.linalg.cond(Xa)
     if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
         raise ValueError(
             f"conjugating matrix is singular or ill-conditioned (cond estimate {cond:.3e})"
         )
-    product = Xa @ Aa @ Xa.conj().T
-    return SpdMatrix(0.5 * (product + product.conj().T))
+    return SpdMatrix(_hermitian_part(Xa @ Aa @ Xa.conj().T))
 
 
 def commutator_defect(A, B) -> float:
@@ -361,17 +339,13 @@ def commutator_defect(A, B) -> float:
 
     Zero exactly when A and B commute; symmetric in its arguments.
     """
-    Aa = as_matrix(A)
-    Ba = as_matrix(B)
-    if Aa.shape != Ba.shape:
-        raise ValueError(f"dimension mismatch: {Aa.shape} vs {Ba.shape}")
+    Aa, Ba = _matching(A, B)
     return float(np.linalg.norm(Aa @ Ba - Ba @ Aa))
 
 
 def is_commuting(A, B, tol: float | None = None) -> bool:
     """Whether ||AB - BA||_F <= tol, defaulting tol to 1e-9 ||A||_F ||B||_F."""
-    Aa = as_matrix(A)
-    Ba = as_matrix(B)
+    Aa, Ba = _matching(A, B)
     if tol is None:
         tol = 1e-9 * float(np.linalg.norm(Aa)) * float(np.linalg.norm(Ba))
     return commutator_defect(Aa, Ba) <= tol

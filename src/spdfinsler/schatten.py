@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import HermitianMatrix, SpdMatrix, eigh
+from .matcore import HermitianMatrix, eigh
 
 __all__ = [
     "Spectrum",
@@ -98,6 +98,14 @@ def _spectrum_values(a, kind: str = "eigenvalue") -> np.ndarray:
     return Spectrum(np.asarray(a, dtype=np.float64), kind=kind).values
 
 
+def _paired_values(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Values of two spectra that must have one length."""
+    av, bv = _spectrum_values(a), _spectrum_values(b)
+    if av.size != bv.size:
+        raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
+    return av, bv
+
+
 def eigenvalue_spectrum(H) -> Spectrum:
     """Descending eigenvalues of a Hermitian matrix as a Spectrum."""
     return Spectrum(eigh(H).eigenvalues, kind="eigenvalue")
@@ -106,10 +114,10 @@ def eigenvalue_spectrum(H) -> Spectrum:
 def singular_values(M) -> Spectrum:
     """Descending singular values of any rectangular complex matrix.
 
-    Hermitian/SPD wrapper inputs use their (cached) eigendecomposition:
+    HermitianMatrix inputs, SpdMatrix included, use their cached spectrum:
     the singular values are the sorted absolute eigenvalues.
     """
-    if isinstance(M, (HermitianMatrix, SpdMatrix)):
+    if isinstance(M, HermitianMatrix):
         vals = np.abs(eigh(M).eigenvalues)
     else:
         arr = np.asarray(M, dtype=np.complex128)
@@ -169,10 +177,7 @@ def weak_majorizes(a, b) -> MajorizationVerdict:
     ``holds`` field answers full majorization (final sums equal).
     Tolerance is ``1e-10 * (1 + ||b||_1)`` per prefix.
     """
-    av = _spectrum_values(a)
-    bv = _spectrum_values(b)
-    if av.size != bv.size:
-        raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
+    av, bv = _paired_values(a, b)
     tol = MAJORIZATION_RTOL * (1.0 + float(np.abs(bv).sum()))
     return _verdict(np.cumsum(bv) - np.cumsum(av), tol)
 
@@ -207,10 +212,7 @@ def weak_log_majorizes(a, b) -> MajorizationVerdict:
     descending they are necessarily trailing).  Tolerance is 1e-10 on
     summed logs.
     """
-    av = _spectrum_values(a)
-    bv = _spectrum_values(b)
-    if av.size != bv.size:
-        raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
+    av, bv = _paired_values(a, b)
     if av[-1] < 0.0 or bv[-1] < 0.0:
         raise ValueError("log majorization requires nonnegative spectra")
     return _verdict(_log_prefix_slack(av, bv), LOG_MAJORIZATION_TOL)
@@ -231,8 +233,5 @@ def is_permutation_of(a, b, tol: float = 1e-8) -> bool:
     Spectra are stored sorted, so agreement of the sorted vectors is
     exactly existence of a permutation matching.
     """
-    av = _spectrum_values(a)
-    bv = _spectrum_values(b)
-    if av.size != bv.size:
-        raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
+    av, bv = _paired_values(a, b)
     return bool(np.abs(av - bv).max() <= tol)

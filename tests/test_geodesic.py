@@ -76,8 +76,11 @@ class TestWeightedMean:
             assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            weighted_mean(identity(2), identity(3), 0.5)
+        for pair_fn in (lambda a, b: weighted_mean(a, b, 0.5),
+                        lambda a, b: delta_p(a, b, 2.0),
+                        lambda a, b: log_euclidean_dist(a, b, 2.0)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                pair_fn(identity(2), identity(3))
 
 
 class TestGeometricMean:

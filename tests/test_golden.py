@@ -1,4 +1,4 @@
-"""Golden CLI output: three small campaigns must reproduce their stored CSVs.
+"""Golden CLI output: four small campaigns must reproduce their stored CSVs.
 
 The CSVs under ``tests/golden/`` were written by the commands in ``GOLDEN``
 and tagged in ``provenance.json`` with the numeric environment that made
@@ -33,6 +33,8 @@ GOLDEN = {
                      "--ineq", "clarkson_mccarthy,two_uniform_convexity,hanner,log_majorization",
                      "--p", "1.05,1.5,2", "--samples", "4"],
     "gap_study": ["gap-study", "--dim", "3", "--samples", "2"],
+    "verify_near8": ["verify", "--dim", "8", "--ensemble", "near_commuting",
+                     "--eps-grid", "0,0.5", "--samples", "2"],
 }
 RTOL = 1e-9
 EXACT_COLUMNS = {"index", "dim", "spread", "ensemble", "seed", "epsilon",

@@ -353,6 +353,9 @@ class TestLogMajorizationLemma:
             check_log_majorization_lemma(
                 HermitianMatrix(np.eye(2)), HermitianMatrix(np.eye(3))
             )
+        for pair_fn in (check_clarkson_mccarthy, check_distance_lower_bound):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                pair_fn(identity(2), identity(3), 1.5)
 
 
 class TestHanner:

@@ -232,8 +232,9 @@ class TestCommutator:
         assert is_commuting(a, poly)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            commutator_defect(np.eye(2), np.eye(3))
+        for pair_fn in (commutator_defect, is_commuting):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                pair_fn(np.eye(2), np.eye(3))
 
 
 def test_immutability_and_arithmetic():
@@ -245,3 +246,22 @@ def test_immutability_and_arithmetic():
     assert np.allclose((h - k).array, h.array - k.array)
     assert np.allclose((-h).array, -h.array)
     assert np.allclose((2.0 * h).array, 2.0 * h.array)
+
+    # The constructors accept their own types, sharing entries and spectrum.
+    spd = mat_exp(h)
+    assert issubclass(SpdMatrix, HermitianMatrix)
+    for copy, source in ((SpdMatrix(spd), spd), (HermitianMatrix(h), h),
+                         (HermitianMatrix(spd), spd)):
+        assert copy.array is source.array
+        assert copy.eig() is source.eig()
+    assert type(SpdMatrix(spd)) is SpdMatrix and type(HermitianMatrix(spd)) is HermitianMatrix
+    assert repr(spd) == "SpdMatrix(dim=3)" and repr(h) == "HermitianMatrix(dim=3)"
+    with pytest.raises(ValueError, match="not safely positive definite"):
+        SpdMatrix(-spd)
+
+    # Arithmetic on SPD operands returns a HermitianMatrix.
+    for result, expected in ((spd + h, spd.array + h.array), (h - spd, h.array - spd.array),
+                             (spd - spd, np.zeros((3, 3))), (-spd, -spd.array),
+                             (2.0 * spd, 2.0 * spd.array)):
+        assert type(result) is HermitianMatrix
+        assert np.allclose(result.array, expected)

@@ -122,8 +122,9 @@ class TestMajorization:
         assert verdict.weak and not verdict.tight_at_end and not verdict.holds
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            weak_majorizes((1.0,), (1.0, 2.0))
+        for pair_fn in (weak_majorizes, weak_log_majorizes, is_permutation_of):
+            with pytest.raises(ValueError, match="length mismatch"):
+                pair_fn((1.0,), (1.0, 2.0))
 
     def test_verdict_invariant_holds_implies_weak_and_tight(self):
         rng = make_rng(7)
