@@ -72,42 +72,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    selftest = sub.add_parser("selftest", help="run the built-in invariant suite")
-    selftest.add_argument("--seed", type=int, default=0)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    sub.add_parser("selftest", parents=[seeded], help="run the built-in invariant suite")
 
-    def campaign_flags(cmd):
-        cmd.add_argument("--dim", type=_int_list, default=_int_list(_DEFAULT_DIMS),
-                         help=f"comma list of dimensions (default {_DEFAULT_DIMS})")
-        cmd.add_argument("--p", type=_float_list, default=_float_list(_DEFAULT_PS),
-                         help=f"comma list of Schatten orders (default {_DEFAULT_PS})")
-        cmd.add_argument("--samples", type=int, default=100)
-        cmd.add_argument("--seed", type=int, default=0)
+    def data_command(name, text, *, dims, ps, samples, eps, samples_help, eps_help):
+        cmd = sub.add_parser(name, parents=[seeded], help=text)
+        cmd.add_argument("--dim", type=_int_list, default=_int_list(dims),
+                         help=f"comma list of dimensions (default {dims})")
+        cmd.add_argument("--p", type=_float_list, default=_float_list(ps),
+                         help=f"comma list of Schatten orders (default {ps})")
+        cmd.add_argument("--samples", type=int, default=samples, help=samples_help)
+        cmd.add_argument("--eps-grid", type=_float_list, default=_float_list(eps),
+                         help=eps_help)
+        cmd.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+        return cmd
+
+    for name, text in (("verify", "run a campaign; fail on any unsatisfied row"),
+                       ("scan", "run a campaign and emit CSV without gating")):
+        cmd = data_command(name, text, dims=_DEFAULT_DIMS, ps=_DEFAULT_PS, samples=100, eps="0",
+                           samples_help="samples per dimension and epsilon (default 100)",
+                           eps_help="epsilon values for the near_commuting ensemble (default 0)")
         cmd.add_argument("--ensemble", choices=ENSEMBLES, default="generic")
         cmd.add_argument("--ineq", default="all",
                          help="comma list of inequality names, or 'all' (drops "
                               "checkers whose range excludes every requested --p)")
-        cmd.add_argument("--eps-grid", type=_float_list, default=[0.0],
-                         help="epsilon values for the near_commuting ensemble")
-        cmd.add_argument("--out", default=None, help="output CSV path (default: stdout)")
         cmd.add_argument("--tol", type=float, default=None,
                          help="override the relative satisfaction tolerance (default 1e-9)")
-
-    verify = sub.add_parser("verify", help="run a campaign; fail on any unsatisfied row")
-    campaign_flags(verify)
-
-    scan = sub.add_parser("scan", help="run a campaign and emit CSV without gating")
-    campaign_flags(scan)
-
-    study = sub.add_parser("gap-study", help="gap vs noncommutativity scan from a "
-                                             "commuting base pair")
-    study.add_argument("--dim", type=_int_list, default=[3])
-    study.add_argument("--p", type=_float_list, default=[2.0])
-    study.add_argument("--samples", type=int, default=1,
-                       help="number of base pairs to scan")
-    study.add_argument("--seed", type=int, default=0)
-    study.add_argument("--eps-grid", type=_float_list, default=_float_list(_DEFAULT_EPS))
-    study.add_argument("--out", default=None)
-
+    data_command("gap-study", "gap vs noncommutativity scan from a commuting base pair",
+                 dims="3", ps="2", samples=1, eps=_DEFAULT_EPS,
+                 samples_help="number of base pairs per dimension (default 1)",
+                 eps_help="ascending perturbation sizes from 0 (default 0,0.1,...,1.0)")
     return parser
 
 
@@ -123,54 +118,40 @@ def _campaign_records(args, ineqs: list[str]) -> list:
     return records
 
 
-def _campaign_comments(args, ineqs: list[str]) -> list[str]:
-    return [
+def _gap_records(args) -> list:
+    records = []
+    for dim in args.dim:
+        config = SampleConfig(dim=dim, ensemble="commuting_pair", seed=mix_seed(args.seed, dim))
+        for i in range(args.samples):
+            bundle = sample_bundle(config, i)
+            for p in args.p:
+                records.extend(gap_scan(bundle.a, bundle.b, args.eps_grid, p,
+                                        seed=mix_seed(config.seed, i)))
+    return records
+
+
+def _run(args) -> int:
+    """Write the rows under a header echoing the flags; only ``verify`` gates."""
+    campaign = args.subcommand != "gap-study"
+    ineqs = _resolve_inequalities(args.ineq, args.p) if campaign else []
+    comments = [
         f"rng: {RNG_IDENTITY}",
         f"cmd: {args.subcommand}",
         f"dim: {','.join(str(d) for d in args.dim)}",
         f"p: {','.join(repr(p) for p in args.p)}",
         f"samples: {args.samples}",
         f"seed: {args.seed}",
-        f"ensemble: {args.ensemble}",
-        f"ineq: {','.join(ineqs)}",
-        f"eps-grid: {','.join(repr(e) for e in args.eps_grid)}",
-        f"tol: {'default' if args.tol is None else repr(args.tol)}",
     ]
-
-
-def _run_verify(args, gate: bool) -> int:
-    ineqs = _resolve_inequalities(args.ineq, args.p)
-    records = _campaign_records(args, ineqs)
-    write_csv(records, sys.stdout if args.out is None else args.out,
-              _campaign_comments(args, ineqs))
+    if campaign:
+        comments += [f"ensemble: {args.ensemble}", f"ineq: {','.join(ineqs)}"]
+    comments.append(f"eps-grid: {','.join(repr(e) for e in args.eps_grid)}")
+    if campaign:
+        comments.append(f"tol: {'default' if args.tol is None else repr(args.tol)}")
+    records = _campaign_records(args, ineqs) if campaign else _gap_records(args)
+    write_csv(records, sys.stdout if args.out is None else args.out, comments)
     bad = sum(1 for r in records if not r.satisfied)
     print(f"{args.subcommand}: {len(records)} rows, {bad} unsatisfied", file=sys.stderr)
-    if gate and bad > 0:
-        return 1
-    return 0
-
-
-def _run_gap_study(args) -> int:
-    records = []
-    for dim in args.dim:
-        config = SampleConfig(dim=dim, ensemble="commuting_pair",
-                              seed=mix_seed(args.seed, dim))
-        for i in range(args.samples):
-            bundle = sample_bundle(config, i)
-            records.extend(gap_scan(bundle.a, bundle.b, args.eps_grid, args.p[0],
-                                    seed=mix_seed(config.seed, i)))
-    comments = [
-        f"rng: {RNG_IDENTITY}",
-        "cmd: gap-study",
-        f"dim: {','.join(str(d) for d in args.dim)}",
-        f"p: {args.p[0]!r}",
-        f"samples: {args.samples}",
-        f"seed: {args.seed}",
-        f"eps-grid: {','.join(repr(e) for e in args.eps_grid)}",
-    ]
-    write_csv(records, sys.stdout if args.out is None else args.out, comments)
-    print(f"gap-study: {len(records)} rows", file=sys.stderr)
-    return 0
+    return 1 if args.subcommand == "verify" and bad > 0 else 0
 
 
 def _validate_flags(args) -> None:
@@ -184,6 +165,15 @@ def _validate_flags(args) -> None:
         raise CheckerRangeError("--p must list at least one Schatten order")
     if args.samples < 0:
         raise CheckerRangeError(f"--samples must be nonnegative, got {args.samples}")
+    grid = args.eps_grid
+    if args.subcommand == "gap-study":
+        if not all(p >= 1.0 for p in args.p):
+            raise CheckerRangeError(f"--p values must be >= 1 or inf, got {args.p}")
+        if not grid or grid[0] != 0.0 or not all(a < b for a, b in zip(grid, grid[1:])):
+            raise CheckerRangeError(
+                f"--eps-grid must start at 0 and strictly ascend, got {grid}")
+    elif args.ensemble == "near_commuting" and not all(e >= 0.0 for e in grid):
+        raise CheckerRangeError(f"--eps-grid values must be nonnegative, got {grid}")
 
 
 def main(argv=None) -> int:
@@ -196,11 +186,7 @@ def main(argv=None) -> int:
         _validate_flags(args)
         if args.subcommand == "selftest":
             return 0 if run_selftest(args.seed) else 1
-        if args.subcommand == "verify":
-            return _run_verify(args, gate=True)
-        if args.subcommand == "scan":
-            return _run_verify(args, gate=False)
-        return _run_gap_study(args)
+        return _run(args)
     except CheckerRangeError as exc:
         parser.print_usage(sys.stderr)
         print(f"spdfinsler: error: {exc}", file=sys.stderr)

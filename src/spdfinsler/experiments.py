@@ -9,7 +9,7 @@ configuration produce byte-identical CSV files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -329,11 +329,7 @@ def gap_scan(A: SpdMatrix, B: SpdMatrix, eps_grid: Sequence[float], p, *,
     return records
 
 
-CSV_COLUMNS = (
-    "index", "dim", "spread", "ensemble", "seed", "epsilon", "inequality", "p",
-    "lhs", "rhs", "gap", "satisfied", "commutator_defect",
-    "gamma_defect_product", "gamma_defect_bracket",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(ScanRecord))
 
 
 def _format_value(value) -> str:

@@ -85,6 +85,10 @@ def test_invalid_flag_values_are_usage_errors(capsys):
     assert main(["verify", "--samples=-3"]) == 2
     assert main(["verify", "--p", "", "--samples", "1"]) == 2
     assert main(["verify", "--seed=-1", "--samples", "1"]) == 2
+    assert main(["gap-study", "--p", "0.5"]) == 2
+    assert main(["gap-study", "--p", "nan"]) == 2
+    assert main(["gap-study", "--eps-grid", "0.1,0.2"]) == 2
+    assert main(["verify", "--ensemble", "near_commuting", "--eps-grid", "-1"]) == 2
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -144,6 +148,30 @@ def test_gap_study_emits_grid(tmp_path):
     assert abs(float(lines[1].split(",")[gap_col])) <= 1e-9
 
 
+def test_gap_study_runs_every_order(tmp_path, capsys):
+    out = tmp_path / "gaps.csv"
+    code = main(["gap-study", "--dim", "2", "--p", "1.5,2", "--eps-grid", "0,0.5",
+                 "--seed", "5", "--out", str(out)])
+    assert code == 0
+    text = out.read_text().splitlines()
+    assert "# p: 1.5,2.0" in text
+    lines = [l for l in text if not l.startswith("#")]
+    header = lines[0].split(",")
+    rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
+    assert [float(r["p"]) for r in rows] == [1.5, 1.5, 2.0, 2.0]
+    assert [float(r["epsilon"]) for r in rows] == [0.0, 0.5, 0.0, 0.5]
+    for r in rows[::2]:
+        assert abs(float(r["gap"])) <= 1e-9
+    assert capsys.readouterr().err == "gap-study: 4 rows, 0 unsatisfied\n"
+
+
+def test_write_failure_exits_one(tmp_path, capsys):
+    code = main(["verify", "--samples", "1", "--dim", "2",
+                 "--out", str(tmp_path / "missing_dir" / "x.csv")])
+    assert code == 1
+    assert "failed to write CSV to" in capsys.readouterr().err
+
+
 def test_near_commuting_ensemble_uses_eps_grid(tmp_path):
     out = tmp_path / "near.csv"
     code = main(["verify", "--dim", "2", "--p", "2", "--samples", "3", "--seed", "2",
@@ -158,13 +186,18 @@ def test_near_commuting_ensemble_uses_eps_grid(tmp_path):
 
 
 def test_console_script_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    # the child imports the package from this checkout, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "spdfinsler.cli", "scan", "--dim", "2", "--p", "2",
          "--samples", "1", "--seed", "0", "--ineq", "distance_lower_bound"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# rng:")
