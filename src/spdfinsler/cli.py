@@ -74,7 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    sub.add_parser("selftest", parents=[seeded], help="run the built-in invariant suite")
+    selftest = sub.add_parser("selftest", parents=[seeded],
+                              help="run the built-in invariant suite")
+    selftest.set_defaults(print_usage=selftest.print_usage)
 
     def data_command(name, text, *, dims, ps, samples, eps, samples_help, eps_help):
         cmd = sub.add_parser(name, parents=[seeded], help=text)
@@ -86,6 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--eps-grid", type=_float_list, default=_float_list(eps),
                          help=eps_help)
         cmd.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+        cmd.set_defaults(print_usage=cmd.print_usage)
         return cmd
 
     for name, text in (("verify", "run a campaign; fail on any unsatisfied row"),
@@ -107,10 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _campaign_records(args, ineqs: list[str]) -> list:
-    epsilons = args.eps_grid if args.ensemble == "near_commuting" else [0.0]
     records = []
     for dim in args.dim:
-        for eps in epsilons:
+        for eps in args.eps_grid:
             config = SampleConfig(dim=dim, ensemble=args.ensemble,
                                   seed=mix_seed(args.seed, dim), epsilon=eps)
             records.extend(run_campaign(config, ineqs, args.p, args.samples,
@@ -172,7 +174,10 @@ def _validate_flags(args) -> None:
         if not grid or grid[0] != 0.0 or not all(a < b for a, b in zip(grid, grid[1:])):
             raise CheckerRangeError(
                 f"--eps-grid must start at 0 and strictly ascend, got {grid}")
-    elif args.ensemble == "near_commuting" and not all(e >= 0.0 for e in grid):
+    elif args.ensemble != "near_commuting" and grid != [0.0]:
+        raise CheckerRangeError(
+            f"--eps-grid applies only to --ensemble near_commuting, got {grid}")
+    elif not all(e >= 0.0 for e in grid):
         raise CheckerRangeError(f"--eps-grid values must be nonnegative, got {grid}")
 
 
@@ -188,7 +193,7 @@ def main(argv=None) -> int:
             return 0 if run_selftest(args.seed) else 1
         return _run(args)
     except CheckerRangeError as exc:
-        parser.print_usage(sys.stderr)
+        args.print_usage(sys.stderr)
         print(f"spdfinsler: error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -33,8 +33,8 @@ from .inequalities import (
     _satisfied,
     _sphere_spectra,
     _triple_spectra,
-    check_distance_lower_bound,
 )
+from .schatten import _validate_p
 
 __all__ = [
     "SampleConfig",
@@ -153,6 +153,14 @@ def _from_basis(basis: np.ndarray, log_values: np.ndarray) -> tuple[SpdMatrix, H
     return spd, HermitianMatrix(_assemble(basis, log_values))
 
 
+def _perturb(b: SpdMatrix, log_b: HermitianMatrix, direction: HermitianMatrix, eps: float):
+    """B moved along the ray exp(log B + eps K), with its log; eps = 0 returns B."""
+    if eps == 0.0:
+        return b, log_b
+    log_eps = HermitianMatrix(log_b.array + eps * direction.array)
+    return mat_exp(log_eps), log_eps
+
+
 def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
     """Draw one sample (SPD triple plus logs) for the configured ensemble.
 
@@ -195,11 +203,7 @@ def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
     b0, log_b0 = _from_basis(basis, sigma * rng.standard_normal(dim))
     direction = _unit_direction(rng, dim)
     h3 = _random_hermitian(rng, dim, sigma)
-    if config.epsilon == 0.0:
-        b, log_b = b0, log_b0
-    else:
-        log_b = HermitianMatrix(log_b0.array + config.epsilon * direction.array)
-        b = mat_exp(log_b)
+    b, log_b = _perturb(b0, log_b0, direction, config.epsilon)
     return SampleBundle(a, b, mat_exp(h3), log_a, log_b)
 
 
@@ -224,23 +228,38 @@ class ScanRecord:
     gamma_defect_bracket: float
 
 
-def _family(bundle: SampleBundle, family: str, p: float):
+def _family(family: str, p, a: SpdMatrix, b: SpdMatrix, c, logs):
     """(values, commutator defect) of one checker family on one sample."""
     if family == "sphere":
-        a, b = project_to_unit_sphere(bundle.a, p), project_to_unit_sphere(bundle.b, p)
+        a, b = project_to_unit_sphere(a, p), project_to_unit_sphere(b, p)
         return _sphere_spectra(a, b, p), commutator_defect(a, b)
     if family == "triple":
-        return _triple_spectra(bundle.a, bundle.b, bundle.c), commutator_defect(bundle.a, bundle.b)
+        return _triple_spectra(a, b, c), commutator_defect(a, b)
     if family == "distance":
-        return _distance_spectra(bundle.a, bundle.b), commutator_defect(bundle.a, bundle.b)
-    logs = (bundle.log_a, bundle.log_b)
+        return _distance_spectra(a, b), commutator_defect(a, b)
     values = _pair_spectra(*logs) if family == "norms" else logs
     return values, commutator_defect(*logs)
 
 
-def _sort_key(record: ScanRecord):
-    p = -1.0 if math.isnan(record.p) else record.p
-    return (record.index, record.inequality, p)
+def _rows(echo: dict, plan, a: SpdMatrix, b: SpdMatrix, c=None, logs=None,
+          tol_rel: float | None = None) -> list[ScanRecord]:
+    """The one row builder: each planned (checker, order) on one sample, read
+    from checker families built once each from (a, b), the triple's c and the
+    Hermitian logs; ``echo`` fills the configuration and gamma-defect columns."""
+    built, rows = {}, []
+    for checker, p in plan:
+        key = (checker.family, p if checker.family == "sphere" else None)
+        if key not in built:
+            built[key] = _family(*key, a, b, c, logs)
+        values, defect = built[key]
+        for report in checker.evaluate(values, p):
+            satisfied = report.satisfied if tol_rel is None else _satisfied(
+                report.gap, report.lhs, report.rhs, tol_rel)
+            rows.append(ScanRecord(
+                **echo, inequality=report.name, p=p, lhs=report.lhs, rhs=report.rhs,
+                gap=report.gap, satisfied=satisfied, commutator_defect=defect,
+            ))
+    return rows
 
 
 def run_campaign(config: SampleConfig, inequalities: Sequence[str],
@@ -264,35 +283,24 @@ def run_campaign(config: SampleConfig, inequalities: Sequence[str],
     p_list = [float(p) for p in p_values]
     plan = []
     for name in inequalities:
-        checker = CHECKERS[name]
-        orders = checker.orders(p_list)
+        orders = CHECKERS[name].orders(p_list)
         if not orders:
             raise CheckerRangeError(
                 f"inequality {name!r} accepts none of the requested orders {p_list}"
             )
-        for p in orders:
-            plan.append((checker, p, (checker.family, p if checker.family == "sphere" else None)))
-    families = dict.fromkeys(key for _, _, key in plan)
+        plan += [(CHECKERS[name], p) for p in orders]
 
     records = []
     for index in range(count):
         bundle = sample_bundle(config, index)
         gamma = gamma_commute(bundle.a, bundle.b, bundle.c)
-        built = {key: _family(bundle, *key) for key in families}
-        for checker, p, key in plan:
-            values, defect = built[key]
-            for report in checker.evaluate(values, p):
-                satisfied = report.satisfied if tol_rel is None else _satisfied(
-                    report.gap, report.lhs, report.rhs, tol_rel)
-                records.append(ScanRecord(
-                    index=index, dim=config.dim, spread=config.spread,
+        echo = dict(index=index, dim=config.dim, spread=config.spread,
                     ensemble=config.ensemble, seed=config.seed, epsilon=config.epsilon,
-                    inequality=report.name, p=p, lhs=report.lhs, rhs=report.rhs,
-                    gap=report.gap, satisfied=satisfied, commutator_defect=defect,
                     gamma_defect_product=gamma.defect_product,
-                    gamma_defect_bracket=gamma.defect_bracket,
-                ))
-    records.sort(key=_sort_key)
+                    gamma_defect_bracket=gamma.defect_bracket)
+        records += _rows(echo, plan, bundle.a, bundle.b, bundle.c,
+                         (bundle.log_a, bundle.log_b), tol_rel)
+    records.sort(key=lambda r: (r.index, r.inequality, -1.0 if math.isnan(r.p) else r.p))
     return records
 
 
@@ -304,28 +312,20 @@ def gap_scan(A: SpdMatrix, B: SpdMatrix, eps_grid: Sequence[float], p, *,
     perturbed to ``exp(log B + eps * K)`` with K a seeded unit-Frobenius
     Hermitian direction, and the gap plus commutator defect is recorded.
     The eps = 0 row reproduces the base pair, so its gap vanishes exactly
-    when A and B commute.
+    when A and B commute.  Every order p >= 1 or inf is accepted.
     """
     grid = [float(e) for e in eps_grid]
     if not grid or grid[0] != 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("eps grid must be strictly ascending and start at 0")
+    plan = [(CHECKERS["distance_lower_bound"], _validate_p(p))]
     rng = np.random.default_rng(mix_seed(seed, 0))
     direction = _unit_direction(rng, A.dim)
     log_b = mat_log(B)
     records = []
     for i, eps in enumerate(grid):
-        if eps == 0.0:
-            b_eps = B
-        else:
-            b_eps = mat_exp(HermitianMatrix(log_b.array + eps * direction.array))
-        report = check_distance_lower_bound(A, b_eps, p)
-        records.append(ScanRecord(
-            index=i, dim=A.dim, spread=math.nan, ensemble="near_commuting",
-            seed=seed, epsilon=eps, inequality=report.name, p=float(p),
-            lhs=report.lhs, rhs=report.rhs, gap=report.gap, satisfied=report.satisfied,
-            commutator_defect=report.diagnostics["commutator_defect"],
-            gamma_defect_product=math.nan, gamma_defect_bracket=math.nan,
-        ))
+        echo = dict(index=i, dim=A.dim, spread=math.nan, ensemble="near_commuting", seed=seed,
+                    epsilon=eps, gamma_defect_product=math.nan, gamma_defect_bracket=math.nan)
+        records += _rows(echo, plan, A, _perturb(B, log_b, direction, eps)[0])
     return records
 
 

@@ -21,6 +21,7 @@ from .matcore import (
     HermitianMatrix,
     SpdMatrix,
     _assemble,
+    _eigh_array,
     _hermitian_part,
     _matching,
     commutator_defect,
@@ -60,6 +61,13 @@ def _congruence(S: np.ndarray, X: np.ndarray) -> np.ndarray:
     return _hermitian_part(S @ X @ S)
 
 
+# The sandwich A^{-1/2} B A^{-1/2} is derived, not supplied: its condition
+# can reach kappa(A) kappa(B), so it is checked for positivity only, never
+# against the SPD gate.
+_LOST_POSITIVITY = ("congruence sandwich lost positivity numerically; "
+                    "inputs are too ill-conditioned")
+
+
 def _sandwich_log_eigs(A: SpdMatrix, B: SpdMatrix) -> np.ndarray:
     """log of the eigenvalues of A^{-1/2} B A^{-1/2}, descending.
 
@@ -71,10 +79,7 @@ def _sandwich_log_eigs(A: SpdMatrix, B: SpdMatrix) -> np.ndarray:
         return np.zeros(A.dim)
     w = np.linalg.eigvalsh(_congruence(_power_array(A, -0.5), Ba))
     if w[0] <= 0.0:
-        raise ValueError(
-            "congruence sandwich lost positivity numerically; "
-            "inputs are too ill-conditioned"
-        )
+        raise ValueError(_LOST_POSITIVITY)
     return np.log(w[::-1])
 
 
@@ -101,7 +106,9 @@ class GeodesicCurve:
     def __init__(self, A: SpdMatrix, B: SpdMatrix):
         _, Ba = _matching(A, B)
         self._sqrt_a = _power_array(A, 0.5)
-        self._mid_dec = SpdMatrix(_congruence(_power_array(A, -0.5), Ba)).eig()
+        self._mid_dec = _eigh_array(_congruence(_power_array(A, -0.5), Ba))
+        if not self._mid_dec.eigenvalues[-1] > 0.0:
+            raise ValueError(_LOST_POSITIVITY)
 
     @property
     def log_m(self) -> HermitianMatrix:

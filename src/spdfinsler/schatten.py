@@ -183,26 +183,12 @@ def weak_majorizes(a, b) -> MajorizationVerdict:
 
 
 def _log_prefix_slack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = a.size
-    # Descending nonnegative vectors put zeros in trailing positions, so a
-    # prefix product is positive iff it ends before the first zero.
-    pos_a = int(np.searchsorted(-a, 0.0))  # count of strictly positive entries
-    pos_b = int(np.searchsorted(-b, 0.0))
-    log_a = np.cumsum(np.log(a[:pos_a])) if pos_a else np.empty(0)
-    log_b = np.cumsum(np.log(b[:pos_b])) if pos_b else np.empty(0)
-    slack = np.empty(n)
-    for k in range(n):
-        a_pos = k < pos_a
-        b_pos = k < pos_b
-        if a_pos and b_pos:
-            slack[k] = log_b[k] - log_a[k]
-        elif not a_pos and not b_pos:
-            slack[k] = 0.0  # both prefix products are exactly zero
-        elif not a_pos:
-            slack[k] = np.inf  # 0 <= positive product
-        else:
-            slack[k] = -np.inf  # positive product vs zero: violated
-    return slack
+    # Zeros trail in descending nonnegative vectors, so a prefix log-sum is
+    # -inf from the first zero on: a zero only in a gives +inf, only in b
+    # -inf, and in both the NaN of -inf - -inf stands for 0 <= 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slack = np.cumsum(np.log(b)) - np.cumsum(np.log(a))
+    return np.where(np.isnan(slack), 0.0, slack)
 
 
 def weak_log_majorizes(a, b) -> MajorizationVerdict:

@@ -73,7 +73,14 @@ def test_verify_rejects_out_of_range_order(capsys):
     code = main(["verify", "--p", "1.0", "--ineq", "conde_2uc", "--samples", "1"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "usage" in err and "conde_2uc" in err
+    assert "usage: spdfinsler verify " in err and "conde_2uc" in err
+
+
+def test_verify_generic_at_dim_16(tmp_path, capsys):
+    # derived sandwiches here pass kappa = 1e10, above the gate the samples pass
+    out = tmp_path / "d16.csv"
+    assert main(["verify", "--dim", "16", "--samples", "30", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "verify: 1170 rows, 0 unsatisfied\n"
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -85,10 +92,16 @@ def test_invalid_flag_values_are_usage_errors(capsys):
     assert main(["verify", "--samples=-3"]) == 2
     assert main(["verify", "--p", "", "--samples", "1"]) == 2
     assert main(["verify", "--seed=-1", "--samples", "1"]) == 2
+    capsys.readouterr()
     assert main(["gap-study", "--p", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith("usage: spdfinsler gap-study ")
     assert main(["gap-study", "--p", "nan"]) == 2
     assert main(["gap-study", "--eps-grid", "0.1,0.2"]) == 2
     assert main(["verify", "--ensemble", "near_commuting", "--eps-grid", "-1"]) == 2
+    capsys.readouterr()
+    assert main(["verify", "--ensemble", "generic", "--eps-grid", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spdfinsler verify ") and "applies only to" in err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

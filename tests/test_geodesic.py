@@ -7,6 +7,7 @@ import pytest
 
 from spdfinsler import (
     GeodesicCurve,
+    SampleConfig,
     SpdMatrix,
     arc_length,
     conjugate,
@@ -22,6 +23,7 @@ from spdfinsler import (
     mat_pow,
     on_unit_sphere,
     project_to_unit_sphere,
+    sample_bundle,
     weighted_mean,
 )
 
@@ -107,6 +109,18 @@ class TestGeometricMean:
             lhs = geometric_mean(mat_pow(a, -1.0), mat_pow(b, -1.0)).array
             rhs = mat_pow(geometric_mean(a, b), -1.0).array
             assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+    def test_ill_conditioned_sandwich_matches_oracle(self):
+        # kappa(A^{-1/2} B A^{-1/2}) = 1.02e10 here, above the SPD gate that A
+        # and B pass; the mean is still accurate.  The oracle is real-only, so
+        # it runs on the real embedding [[Re, -Im], [Im, Re]] of each matrix.
+        bundle = sample_bundle(SampleConfig(dim=16), 3)
+        embed = lambda m: np.block([[m.real, -m.imag], [m.imag, m.real]]).tolist()
+        ref = oracles.weighted_mean_ref(embed(bundle.a.array), embed(bundle.b.array), 0.5)
+        ref = np.array(ref.tolist(), dtype=float)
+        expected = ref[:16, :16] + 1j * ref[16:, :16]
+        mean = geometric_mean(bundle.a, bundle.b).array
+        assert np.abs(mean - expected).max() <= 1e-7 * np.abs(expected).max()
 
     def test_congruence_equivariance(self):
         # X (A # B) X^H = (X A X^H) # (X B X^H); conjugating by the inverse

@@ -1,4 +1,4 @@
-"""Golden CLI output: four small campaigns must reproduce their stored CSVs.
+"""Golden CLI output: five small campaigns must reproduce their stored CSVs.
 
 The CSVs under ``tests/golden/`` were written by the commands in ``GOLDEN``
 and tagged in ``provenance.json`` with the numeric environment that made
@@ -35,6 +35,7 @@ GOLDEN = {
                      "--ineq", "clarkson_mccarthy,two_uniform_convexity,hanner,log_majorization",
                      "--p", "1.05,1.5,2", "--samples", "4"],
     "gap_study": ["gap-study", "--dim", "3", "--samples", "2"],
+    "gap_multi": ["gap-study", "--dim", "2,3", "--p", "1,2,inf", "--samples", "2"],
     "verify_near8": ["verify", "--dim", "8", "--ensemble", "near_commuting",
                      "--eps-grid", "0,0.5", "--samples", "2"],
 }

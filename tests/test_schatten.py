@@ -182,6 +182,9 @@ class TestLogMajorization:
         assert verdict.weak and verdict.tight_at_end  # final products both zero
         bad = weak_log_majorizes((2.0, 1.0), (4.0, 0.0))
         assert not bad.weak and bad.first_violation_index == 1
+        loose = weak_log_majorizes((2.0, 0.0), (4.0, 1.0))  # zero only in a
+        assert loose.weak and not loose.tight_at_end
+        assert loose.slack[-1] == np.inf
 
     @given(st.integers(0, 10_000))
     def test_log_majorization_implies_weak_majorization(self, seed):
