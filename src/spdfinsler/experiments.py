@@ -99,7 +99,7 @@ class SampleConfig:
             raise ValueError(f"unknown ensemble {self.ensemble!r}; choose from {ENSEMBLES}")
         if not 0 <= int(self.seed) <= _MASK64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
 
 
@@ -120,7 +120,7 @@ def _rng_for(config: SampleConfig, index: int) -> np.random.Generator:
 
 def _random_hermitian(rng: np.random.Generator, dim: int, sigma: float) -> HermitianMatrix:
     g = sigma * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return HermitianMatrix(_hermitian_part(g))
+    return HermitianMatrix._adopt(_hermitian_part(g))
 
 
 def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -133,7 +133,7 @@ def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _unit_direction(rng: np.random.Generator, dim: int) -> HermitianMatrix:
     """A random Hermitian direction of unit Frobenius norm."""
     direction = _random_hermitian(rng, dim, 1.0)
-    return HermitianMatrix(direction.array / direction.frobenius())
+    return HermitianMatrix._adopt(direction.array / direction.frobenius())
 
 
 def _random_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -150,15 +150,15 @@ def _random_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _from_basis(basis: np.ndarray, log_values: np.ndarray) -> tuple[SpdMatrix, HermitianMatrix]:
     """SPD matrix with prescribed eigenbasis and log-spectrum, plus its exact log."""
     spd = SpdMatrix(_assemble(basis, np.exp(log_values)))
-    return spd, HermitianMatrix(_assemble(basis, log_values))
+    return spd, HermitianMatrix._adopt(_assemble(basis, log_values))
 
 
 def _perturb(b: SpdMatrix, log_b: HermitianMatrix, direction: HermitianMatrix, eps: float):
     """B moved along the ray exp(log B + eps K), with its log; eps = 0 returns B."""
     if eps == 0.0:
         return b, log_b
-    log_eps = HermitianMatrix(log_b.array + eps * direction.array)
-    return mat_exp(log_eps), log_eps
+    log_eps = HermitianMatrix._adopt(log_b.array + eps * direction.array)
+    return SpdMatrix(mat_exp(log_eps)), log_eps
 
 
 def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
@@ -174,14 +174,15 @@ def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
         h1 = _random_hermitian(rng, dim, sigma)
         h2 = _random_hermitian(rng, dim, sigma)
         h3 = _random_hermitian(rng, dim, sigma)
-        return SampleBundle(mat_exp(h1), mat_exp(h2), mat_exp(h3), h1, h2)
+        a, b, c = (SpdMatrix(mat_exp(h)) for h in (h1, h2, h3))
+        return SampleBundle(a, b, c, h1, h2)
 
     if config.ensemble == "commuting_pair":
         basis = _random_unitary(rng, dim)
         a, log_a = _from_basis(basis, sigma * rng.standard_normal(dim))
         b, log_b = _from_basis(basis, sigma * rng.standard_normal(dim))
         h3 = _random_hermitian(rng, dim, sigma)
-        return SampleBundle(a, b, mat_exp(h3), log_a, log_b)
+        return SampleBundle(a, b, SpdMatrix(mat_exp(h3)), log_a, log_b)
 
     if config.ensemble == "commuting_triple":
         basis = _random_unitary(rng, dim)
@@ -204,7 +205,7 @@ def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
     direction = _unit_direction(rng, dim)
     h3 = _random_hermitian(rng, dim, sigma)
     b, log_b = _perturb(b0, log_b0, direction, config.epsilon)
-    return SampleBundle(a, b, mat_exp(h3), log_a, log_b)
+    return SampleBundle(a, b, SpdMatrix(mat_exp(h3)), log_a, log_b)
 
 
 @dataclass(frozen=True)
@@ -315,7 +316,7 @@ def gap_scan(A: SpdMatrix, B: SpdMatrix, eps_grid: Sequence[float], p, *,
     when A and B commute.  Every order p >= 1 or inf is accepted.
     """
     grid = [float(e) for e in eps_grid]
-    if not grid or grid[0] != 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
+    if not grid or grid[0] != 0.0 or any(not b > a for a, b in zip(grid, grid[1:])):
         raise ValueError("eps grid must be strictly ascending and start at 0")
     plan = [(CHECKERS["distance_lower_bound"], _validate_p(p))]
     rng = np.random.default_rng(mix_seed(seed, 0))
@@ -332,18 +333,12 @@ def gap_scan(A: SpdMatrix, B: SpdMatrix, eps_grid: Sequence[float], p, *,
 CSV_COLUMNS = tuple(f.name for f in fields(ScanRecord))
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _record_line(record: ScanRecord) -> str:
-    return ",".join(_format_value(getattr(record, col)) for col in CSV_COLUMNS)
+def _record_line(r: ScanRecord) -> str:
+    """One CSV row in CSV_COLUMNS order: floats at 17 significant digits."""
+    return (f"{r.index},{r.dim},{r.spread:.17g},{r.ensemble},{r.seed},{r.epsilon:.17g},"
+            f"{r.inequality},{r.p:.17g},{r.lhs:.17g},{r.rhs:.17g},{r.gap:.17g},"
+            f"{'true' if r.satisfied else 'false'},{r.commutator_defect:.17g},"
+            f"{r.gamma_defect_product:.17g},{r.gamma_defect_bracket:.17g}")
 
 
 def render_csv(records: Sequence[ScanRecord], header_comments: Sequence[str] = ()) -> str:

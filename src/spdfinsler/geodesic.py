@@ -18,13 +18,14 @@ from typing import Callable, Union
 import numpy as np
 
 from .matcore import (
+    _LOST_POSITIVITY,
     HermitianMatrix,
     SpdMatrix,
     _assemble,
-    _eigh_array,
     _hermitian_part,
     _matching,
     commutator_defect,
+    mat_log,
     mat_pow,
 )
 from .schatten import _lp, _validate_p, schatten_norm
@@ -50,22 +51,9 @@ SPHERE_TOL = 1e-8
 FINITE_DIFF_STEP = 1e-5
 
 
-def _power_array(A: SpdMatrix, t: float) -> np.ndarray:
-    """Entries of A^t from the cached spectrum of A."""
-    dec = A.eig()
-    return _assemble(dec.unitary, dec.eigenvalues ** t)
-
-
 def _congruence(S: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Hermitian part of S X S, for Hermitian S."""
     return _hermitian_part(S @ X @ S)
-
-
-# The sandwich A^{-1/2} B A^{-1/2} is derived, not supplied: its condition
-# can reach kappa(A) kappa(B), so it is checked for positivity only, never
-# against the SPD gate.
-_LOST_POSITIVITY = ("congruence sandwich lost positivity numerically; "
-                    "inputs are too ill-conditioned")
 
 
 def _sandwich_log_eigs(A: SpdMatrix, B: SpdMatrix) -> np.ndarray:
@@ -77,7 +65,7 @@ def _sandwich_log_eigs(A: SpdMatrix, B: SpdMatrix) -> np.ndarray:
     Aa, Ba = _matching(A, B)
     if np.array_equal(Aa, Ba):
         return np.zeros(A.dim)
-    w = np.linalg.eigvalsh(_congruence(_power_array(A, -0.5), Ba))
+    w = np.linalg.eigvalsh(_congruence(mat_pow(A, -0.5).array, Ba))
     if w[0] <= 0.0:
         raise ValueError(_LOST_POSITIVITY)
     return np.log(w[::-1])
@@ -86,11 +74,7 @@ def _sandwich_log_eigs(A: SpdMatrix, B: SpdMatrix) -> np.ndarray:
 def _log_euclidean_eigs(A: SpdMatrix, B: SpdMatrix) -> np.ndarray:
     """Eigenvalues of log A - log B, whose l^p norm is the log-Euclidean distance."""
     _matching(A, B)
-    dec_a, dec_b = A.eig(), B.eig()
-    diff = _assemble(dec_a.unitary, np.log(dec_a.eigenvalues)) - _assemble(
-        dec_b.unitary, np.log(dec_b.eigenvalues)
-    )
-    return np.linalg.eigvalsh(diff)
+    return np.linalg.eigvalsh(mat_log(A).array - mat_log(B).array)
 
 
 class GeodesicCurve:
@@ -101,36 +85,35 @@ class GeodesicCurve:
     extrapolate the geodesic line.
     """
 
-    __slots__ = ("_sqrt_a", "_mid_dec")
+    __slots__ = ("_sqrt_a", "_mid")
 
     def __init__(self, A: SpdMatrix, B: SpdMatrix):
         _, Ba = _matching(A, B)
-        self._sqrt_a = _power_array(A, 0.5)
-        self._mid_dec = _eigh_array(_congruence(_power_array(A, -0.5), Ba))
-        if not self._mid_dec.eigenvalues[-1] > 0.0:
+        self._sqrt_a = mat_pow(A, 0.5).array
+        self._mid = HermitianMatrix._adopt(_congruence(mat_pow(A, -0.5).array, Ba))
+        if not self._mid.eig().eigenvalues[-1] > 0.0:
             raise ValueError(_LOST_POSITIVITY)
 
     @property
     def log_m(self) -> HermitianMatrix:
         """log(A^{-1/2} B A^{-1/2}); its p-norm is delta_p(A, B)."""
-        return HermitianMatrix(
-            _assemble(self._mid_dec.unitary, np.log(self._mid_dec.eigenvalues))
-        )
+        return mat_log(self._mid)
 
     def _inner(self, values: np.ndarray) -> np.ndarray:
         """A^{1/2} f(M) A^{1/2} for the spectral values f(lambda_i) of M."""
-        return _congruence(self._sqrt_a, _assemble(self._mid_dec.unitary, values))
+        return _congruence(self._sqrt_a, _assemble(self._mid.eig().unitary, values))
 
     def eval(self, t: float) -> SpdMatrix:
         """Point on the geodesic at parameter t (SPD for every real t)."""
-        return SpdMatrix(self._inner(self._mid_dec.eigenvalues ** float(t)))
+        values = self._mid.eig().eigenvalues ** float(t)
+        return SpdMatrix._adopt(self._inner(values), values)
 
     __call__ = eval
 
     def derivative(self, t: float) -> HermitianMatrix:
         """Analytic velocity A^{1/2} M^t log(M) A^{1/2} at parameter t."""
-        lam = self._mid_dec.eigenvalues
-        return HermitianMatrix(self._inner(lam ** float(t) * np.log(lam)))
+        lam = self._mid.eig().eigenvalues
+        return HermitianMatrix._adopt(self._inner(lam ** float(t) * np.log(lam)))
 
 
 def weighted_mean(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
@@ -169,8 +152,8 @@ def log_euclidean_dist(A: SpdMatrix, B: SpdMatrix, p) -> float:
 
 
 def _speed_from_arrays(point: SpdMatrix, velocity: np.ndarray, p: float) -> float:
-    tangent = _congruence(_power_array(point, -0.5), velocity)
-    return schatten_norm(HermitianMatrix(tangent), p)
+    tangent = _congruence(mat_pow(point, -0.5).array, velocity)
+    return schatten_norm(HermitianMatrix._adopt(tangent), p)
 
 
 def geodesic_speed(curve: GeodesicCurve, t: float, p) -> float:
@@ -243,15 +226,14 @@ def gamma_commute(A: SpdMatrix, B: SpdMatrix, C: SpdMatrix,
     """
     _matching(A, B)
     _matching(A, C)
-    dec_b = B.eig()
-    b_inv = _assemble(dec_b.unitary, 1.0 / dec_b.eigenvalues)
+    b_inv = mat_pow(B, -1.0).array
     product = A.array @ b_inv @ C.array
     defect_product = float(np.linalg.norm(product - product.conj().T)) / (
         float(np.linalg.norm(A.array))
         * float(np.linalg.norm(b_inv))
         * float(np.linalg.norm(C.array))
     )
-    S = _power_array(A, -0.5)
+    S = mat_pow(A, -0.5).array
     X = S @ B.array @ S
     Y = S @ C.array @ S
     defect_bracket = commutator_defect(X, Y) / (

@@ -431,10 +431,8 @@ def check_log_majorization_lemma(H: HermitianMatrix, K: HermitianMatrix) -> Majo
     sum_spectrum = Spectrum(np.linalg.eigvalsh(Ha + Ka))
     # lambda(e^{K/2} e^H e^{K/2}) = sigma(e^{H/2} e^{K/2})^2; the half-factor
     # product halves the condition-number amplification of the formed matrix.
-    half_product = (
-        mat_exp(HermitianMatrix(0.5 * Ha)).array @ mat_exp(HermitianMatrix(0.5 * Ka)).array
-    )
-    sing = np.linalg.svd(half_product, compute_uv=False)
+    exp_h, exp_k = (mat_exp(HermitianMatrix._adopt(0.5 * M)).array for M in (Ha, Ka))
+    sing = np.linalg.svd(exp_h @ exp_k, compute_uv=False)
     if sing[-1] <= 0.0:
         raise ValueError("exponential product lost rank numerically")
     bch_spectrum = Spectrum(2.0 * np.log(sing))

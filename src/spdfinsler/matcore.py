@@ -38,6 +38,8 @@ HERMITICITY_RTOL = 1e-12
 SPD_EIGENVALUE_FLOOR = 1e-10
 # Conjugation rejects X whose 2-norm condition estimate reaches this.
 CONDITION_LIMIT = 1e12
+# Derived matrices are checked for positivity only (see HermitianMatrix._adopt).
+_LOST_POSITIVITY = "derived matrix lost positivity numerically; inputs are too ill-conditioned"
 
 
 class EigenConvergenceError(RuntimeError):
@@ -77,7 +79,7 @@ class HermitianMatrix:
     Parameters
     ----------
     entries : HermitianMatrix or array-like, shape (dim, dim)
-        A HermitianMatrix shares its entries and cached eigendecomposition.
+        A HermitianMatrix shares its entries and eigendecomposition cache.
         Otherwise a square complex matrix that must satisfy
         ``entries[i][j] == conj(entries[j][i])`` within an absolute
         tolerance of ``1e-12`` times the largest entry magnitude; the
@@ -93,27 +95,40 @@ class HermitianMatrix:
     __slots__ = ("_array", "_eig")
 
     def __init__(self, entries):
-        if isinstance(entries, HermitianMatrix):
-            self._array = entries._array
-            self._eig = entries._eig
-            return
-        arr = np.array(entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ValueError("matrix dimension must be at least 1")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        scale = float(np.abs(arr).max())
-        asym = float(np.abs(arr - arr.conj().T).max())
-        if asym > HERMITICITY_RTOL * scale:
-            raise ValueError(
-                f"input is not Hermitian: max |A - A^H| = {asym:.3e} exceeds "
-                f"{HERMITICITY_RTOL:.0e} * max|entry| = {HERMITICITY_RTOL * scale:.3e}"
-            )
-        self._array = _hermitian_part(arr)
-        self._array.flags.writeable = False
-        self._eig = None
+        if not isinstance(entries, HermitianMatrix):
+            arr = np.array(entries, dtype=np.complex128)
+            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+                raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+            if arr.shape[0] < 1:
+                raise ValueError("matrix dimension must be at least 1")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("matrix entries must be finite")
+            scale = float(np.abs(arr).max())
+            asym = float(np.abs(arr - arr.conj().T).max())
+            if asym > HERMITICITY_RTOL * scale:
+                raise ValueError(
+                    f"input is not Hermitian: max |A - A^H| = {asym:.3e} exceeds "
+                    f"{HERMITICITY_RTOL:.0e} * max|entry| = {HERMITICITY_RTOL * scale:.3e}"
+                )
+            entries = HermitianMatrix._adopt(_hermitian_part(arr))
+        # The one-element list is the decomposition cache, shared by wrappers.
+        self._array, self._eig = entries._array, entries._eig
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, values: np.ndarray | None = None):
+        """Wrap, unchecked, an array the package built exactly Hermitian: an
+        ``_assemble``, ``_congruence`` or ``_hermitian_part`` result, or a real
+        multiple or sum of such arrays.  An SpdMatrix adopted here is derived,
+        the spectrum ``values`` taken through a congruence; its condition can
+        reach the product of its sources' (kappa(A) kappa(B) for a geodesic
+        point), so it is checked for ``0 < values < inf`` only, not gated.
+        """
+        if cls is SpdMatrix and not (values.min() > 0.0 and values.max() < np.inf):
+            raise ValueError(_LOST_POSITIVITY)
+        self = object.__new__(cls)
+        arr.flags.writeable = False
+        self._array, self._eig = arr, [None]
+        return self
 
     @property
     def array(self) -> np.ndarray:
@@ -126,9 +141,9 @@ class HermitianMatrix:
 
     def eig(self) -> "EigenDecomposition":
         """Cached eigendecomposition (descending eigenvalues)."""
-        if self._eig is None:
-            self._eig = _eigh_array(self._array)
-        return self._eig
+        if self._eig[0] is None:
+            self._eig[0] = _eigh_array(self._array)
+        return self._eig[0]
 
     def frobenius(self) -> float:
         return float(np.linalg.norm(self._array))
@@ -160,11 +175,12 @@ class HermitianMatrix:
 class SpdMatrix(HermitianMatrix):
     """Hermitian matrix verified strictly positive definite at construction.
 
-    The positivity gate requires ``lambda_min > 1e-10 * lambda_max``;
-    ill-conditioned inputs are rejected rather than regularized.  The
-    eigendecomposition computed for the gate is cached and reused by the
-    spectral functions.  Arithmetic is inherited and returns a
-    HermitianMatrix.
+    This is the SPD gate, run on user-supplied and sampled matrices: it
+    requires ``lambda_min > 1e-10 * lambda_max``, rejecting ill-conditioned
+    inputs rather than regularizing them; the gate's eigendecomposition is
+    cached for the spectral functions.  Derived results (``mat_exp``,
+    ``mat_pow``, geodesic points) are checked for positivity only, so their
+    condition may exceed 1e10.  Arithmetic returns a HermitianMatrix.
     """
 
     __slots__ = ()
@@ -230,8 +246,6 @@ def eigh(H) -> EigenDecomposition:
     EigenConvergenceError
         If the underlying solver fails to converge.
     """
-    if isinstance(H, HermitianMatrix):
-        return H.eig()
     return HermitianMatrix(H).eig()
 
 
@@ -256,6 +270,11 @@ def mat_fn(A, f) -> HermitianMatrix:
         If ``f`` is undefined (raises, or yields a non-finite or non-real
         value) at any eigenvalue.
     """
+    return _spectral(A, f, HermitianMatrix)
+
+
+def _spectral(A, f, cls):
+    """f(A) adopted as a ``cls``: the one spectral-function path."""
     dec = eigh(A)
     eigs = dec.eigenvalues
     with np.errstate(all="ignore"):
@@ -282,7 +301,7 @@ def mat_fn(A, f) -> HermitianMatrix:
         raise MatrixFunctionDomainError(
             f"scalar function undefined (non-finite) at eigenvalue(s) {bad}"
         )
-    return HermitianMatrix(_assemble(dec.unitary, vals))
+    return cls._adopt(_assemble(dec.unitary, vals), vals)
 
 
 def mat_log(A) -> HermitianMatrix:
@@ -291,14 +310,14 @@ def mat_log(A) -> HermitianMatrix:
 
 
 def mat_exp(H) -> SpdMatrix:
-    """Matrix exponential of a Hermitian matrix; always SPD."""
-    return SpdMatrix(mat_fn(H, np.exp))
+    """Matrix exponential of a Hermitian matrix; raises if exp underflows to 0."""
+    return _spectral(H, np.exp, SpdMatrix)
 
 
 def mat_pow(A, t: float) -> SpdMatrix:
     """Real matrix power A^t of an SPD matrix."""
     t = float(t)
-    return SpdMatrix(mat_fn(A, lambda x: x**t))
+    return _spectral(A, lambda x: x**t, SpdMatrix)
 
 
 def mat_sqrt(A) -> SpdMatrix:

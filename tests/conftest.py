@@ -49,6 +49,23 @@ def random_invertible(rng, dim: int, cond_max: float = 1e3) -> np.ndarray:
 
 
 @pytest.fixture
+def kernel_calls(monkeypatch) -> dict[str, int]:
+    """Live counts of the numpy.linalg eigh, eigvalsh and svd calls made
+    during the test."""
+    counts = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
+
+    def counted(name, kernel):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return kernel(*args, **kwargs)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return counts
+
+
+@pytest.fixture
 def witness_pair() -> tuple[SpdMatrix, SpdMatrix]:
     """The fixed noncommuting pair used for strictness checks."""
     return SpdMatrix([[2.0, 1.0], [1.0, 2.0]]), SpdMatrix(np.diag([1.0, 4.0]))

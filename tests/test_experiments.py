@@ -36,8 +36,9 @@ class TestSampleConfig:
             SampleConfig(dim=2, spread=0.0)
         with pytest.raises(ValueError, match="ensemble"):
             SampleConfig(dim=2, ensemble="bogus")
-        with pytest.raises(ValueError, match="epsilon"):
-            SampleConfig(dim=2, epsilon=-0.1)
+        for epsilon in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                SampleConfig(dim=2, epsilon=epsilon)
 
     def test_mix_seed_is_stable_and_spreads(self):
         assert mix_seed(0, 0) == mix_seed(0, 0)
@@ -178,6 +179,11 @@ class TestRunCampaign:
         assert len(records) == 2  # one row per sample, independent of p list
         assert all(math.isnan(r.p) for r in records)
 
+    def test_kernel_call_budget(self, kernel_calls):
+        # Derived matrices cost no gate eigh; a check brought back fails here.
+        run_campaign(SampleConfig(dim=3), ALL_INEQUALITIES, P_GRID, 2)
+        assert kernel_calls == {"eigh": 60, "eigvalsh": 24, "svd": 10}
+
     def test_tolerance_override(self):
         config = SampleConfig(dim=2, seed=16)
         loose = run_campaign(config, ["distance_lower_bound"], [2.0], 3, tol_rel=1e3)
@@ -212,6 +218,8 @@ class TestGapScan:
             gap_scan(a, b, [0.1, 0.2], 2.0)
         with pytest.raises(ValueError, match="ascending"):
             gap_scan(a, b, [0.0, 0.2, 0.1], 2.0)
+        with pytest.raises(ValueError, match="ascending"):
+            gap_scan(a, b, [0.0, math.nan], 2.0)
 
     def test_deterministic(self):
         rng = make_rng(20)

@@ -77,6 +77,27 @@ class TestWeightedMean:
             rhs = weighted_mean(b, a, 1.0 - t).array
             assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
+    def test_one_eigh_per_mean(self, kernel_calls):
+        rng = make_rng(8)
+        a, b = random_spd(rng, 3), random_spd(rng, 3)
+        a.eig(), b.eig()
+        kernel_calls["eigh"] = 0
+        weighted_mean(a, b, 0.3)
+        assert kernel_calls["eigh"] == 1
+
+    def test_derived_condition_not_gated(self):
+        # diag(1, 1e-4) #_3 I = diag(1, 1e-12): kappa 1e12, above the SPD gate.
+        mean = weighted_mean(identity(2), SpdMatrix(np.diag([1.0, 1e-4])), 3.0)
+        lam = mean.eig().eigenvalues
+        assert lam[0] / lam[-1] == pytest.approx(1e12, rel=1e-6)
+
+    def test_positivity_kept(self):
+        curve = GeodesicCurve(identity(2), SpdMatrix(np.diag([1.0, 1e-4])))
+        with pytest.raises(ValueError, match="positiv"):
+            curve.eval(200.0)
+        with pytest.raises(ValueError, match="positive definite"):
+            sample_bundle(SampleConfig(dim=2, spread=20.0), 0)
+
     def test_dim_mismatch(self):
         for pair_fn in (lambda a, b: weighted_mean(a, b, 0.5),
                         lambda a, b: delta_p(a, b, 2.0),

@@ -1,4 +1,4 @@
-"""Golden CLI output: five small campaigns must reproduce their stored CSVs.
+"""Golden CLI output: six small campaigns must reproduce their stored CSVs.
 
 The CSVs under ``tests/golden/`` were written by the commands in ``GOLDEN``
 and tagged in ``provenance.json`` with the numeric environment that made
@@ -38,6 +38,7 @@ GOLDEN = {
     "gap_multi": ["gap-study", "--dim", "2,3", "--p", "1,2,inf", "--samples", "2"],
     "verify_near8": ["verify", "--dim", "8", "--ensemble", "near_commuting",
                      "--eps-grid", "0,0.5", "--samples", "2"],
+    "verify_d16": ["verify", "--dim", "16", "--samples", "2"],
 }
 RTOL = 1e-9
 EXACT_COLUMNS = {"index", "dim", "spread", "ensemble", "seed", "epsilon",

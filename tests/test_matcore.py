@@ -171,6 +171,28 @@ class TestMatFn:
         assert np.allclose(mat_sqrt(a).array, np.eye(3) * 2.0)
 
 
+class TestDerivedMatrices:
+    """Derived results are adopted: no gate eigh, no condition gate, but
+    their spectral values must stay positive."""
+
+    def test_no_gate_eigh(self, kernel_calls):
+        mat_exp(random_hermitian(make_rng(41), 3))
+        assert kernel_calls["eigh"] == 1
+        a = SpdMatrix(np.diag([1.0, 2.0, 3.0]))
+        kernel_calls["eigh"] = 0
+        mat_pow(a, 2.0)
+        assert kernel_calls["eigh"] == 0
+
+    def test_condition_not_gated(self):
+        square = mat_pow(SpdMatrix(np.diag([1.0, 1e-6])), 2.0)
+        lam = eigh(square).eigenvalues
+        assert lam[0] / lam[-1] == pytest.approx(1e12, rel=1e-9)
+
+    def test_positivity_kept(self):
+        with pytest.raises(ValueError, match="positiv"):
+            mat_exp(HermitianMatrix(np.diag([0.0, -800.0])))
+
+
 class TestConjugate:
     def test_identity_conjugation(self):
         a = random_spd(make_rng(17), 3)
