@@ -8,6 +8,7 @@ invocations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .inequalities import CHECKERS, CheckerRangeError
@@ -126,9 +127,8 @@ def _gap_records(args) -> list:
         config = SampleConfig(dim=dim, ensemble="commuting_pair", seed=mix_seed(args.seed, dim))
         for i in range(args.samples):
             bundle = sample_bundle(config, i)
-            for p in args.p:
-                records.extend(gap_scan(bundle.a, bundle.b, args.eps_grid, p,
-                                        seed=mix_seed(config.seed, i)))
+            records.extend(gap_scan(bundle.a, bundle.b, args.eps_grid, args.p,
+                                    seed=mix_seed(config.seed, i)))
     return records
 
 
@@ -171,9 +171,10 @@ def _validate_flags(args) -> None:
     if args.subcommand == "gap-study":
         if not all(p >= 1.0 for p in args.p):
             raise CheckerRangeError(f"--p values must be >= 1 or inf, got {args.p}")
-        if not grid or grid[0] != 0.0 or not all(a < b for a, b in zip(grid, grid[1:])):
+        if (not grid or grid[0] != 0.0 or not math.isfinite(grid[-1])
+                or not all(a < b for a, b in zip(grid, grid[1:]))):
             raise CheckerRangeError(
-                f"--eps-grid must start at 0 and strictly ascend, got {grid}")
+                f"--eps-grid must start at 0 and strictly ascend to a finite value, got {grid}")
     elif args.ensemble != "near_commuting" and grid != [0.0]:
         raise CheckerRangeError(
             f"--eps-grid applies only to --ensemble near_commuting, got {grid}")

@@ -8,6 +8,7 @@ configuration produce byte-identical CSV files.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -19,12 +20,20 @@ from .matcore import (
     HermitianMatrix,
     SpdMatrix,
     _assemble,
+    _gated_exp_stack,
     _hermitian_part,
+    _matching,
+    _spectral_stack,
     commutator_defect,
     mat_exp,
     mat_log,
 )
-from .geodesic import gamma_commute, project_to_unit_sphere
+from .geodesic import (
+    _log_euclidean_spectra,
+    _sandwich_log_spectra,
+    gamma_commute,
+    project_to_unit_sphere,
+)
 from .inequalities import (
     CHECKERS,
     CheckerRangeError,
@@ -153,12 +162,15 @@ def _from_basis(basis: np.ndarray, log_values: np.ndarray) -> tuple[SpdMatrix, H
     return spd, HermitianMatrix._adopt(_assemble(basis, log_values))
 
 
-def _perturb(b: SpdMatrix, log_b: HermitianMatrix, direction: HermitianMatrix, eps: float):
-    """B moved along the ray exp(log B + eps K), with its log; eps = 0 returns B."""
-    if eps == 0.0:
-        return b, log_b
-    log_eps = HermitianMatrix._adopt(log_b.array + eps * direction.array)
-    return SpdMatrix(mat_exp(log_eps)), log_eps
+def _perturb(log_b: HermitianMatrix, direction: HermitianMatrix, eps: np.ndarray):
+    """B moved along the ray exp(log B + eps_k K), for a 1-D array of eps_k > 0.
+
+    Returns the stack of logs log B + eps_k K, then ``_gated_exp_stack`` of
+    it: the arrays and gate decompositions of the leading points that pass,
+    and the error of the first point that fails.
+    """
+    logs = log_b.array + eps[:, None, None] * direction.array
+    return (logs, *_gated_exp_stack(logs))
 
 
 def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
@@ -201,10 +213,14 @@ def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
     # Hermitian direction with magnitude config.epsilon.
     basis = _random_unitary(rng, dim)
     a, log_a = _from_basis(basis, sigma * rng.standard_normal(dim))
-    b0, log_b0 = _from_basis(basis, sigma * rng.standard_normal(dim))
+    b, log_b = _from_basis(basis, sigma * rng.standard_normal(dim))
     direction = _unit_direction(rng, dim)
     h3 = _random_hermitian(rng, dim, sigma)
-    b, log_b = _perturb(b0, log_b0, direction, config.epsilon)
+    if config.epsilon > 0.0:
+        logs, points, gate, error = _perturb(log_b, direction, np.array([config.epsilon]))
+        if error is not None:
+            raise error
+        b, log_b = SpdMatrix._adopt(points[0], dec=gate[0]), HermitianMatrix._adopt(logs[0])
     return SampleBundle(a, b, SpdMatrix(mat_exp(h3)), log_a, log_b)
 
 
@@ -242,17 +258,14 @@ def _family(family: str, p, a: SpdMatrix, b: SpdMatrix, c, logs):
     return values, commutator_defect(*logs)
 
 
-def _rows(echo: dict, plan, a: SpdMatrix, b: SpdMatrix, c=None, logs=None,
-          tol_rel: float | None = None) -> list[ScanRecord]:
+def _rows(echo: dict, plan, family, tol_rel: float | None = None) -> list[ScanRecord]:
     """The one row builder: each planned (checker, order) on one sample, read
-    from checker families built once each from (a, b), the triple's c and the
-    Hermitian logs; ``echo`` fills the configuration and gamma-defect columns."""
-    built, rows = {}, []
+    from ``family(name, order)``, the (values, commutator defect) of that
+    checker family (``order`` is None but for the sphere family, built per
+    order); ``echo`` fills the configuration and gamma-defect columns."""
+    rows = []
     for checker, p in plan:
-        key = (checker.family, p if checker.family == "sphere" else None)
-        if key not in built:
-            built[key] = _family(*key, a, b, c, logs)
-        values, defect = built[key]
+        values, defect = family(checker.family, p if checker.family == "sphere" else None)
         for report in checker.evaluate(values, p):
             satisfied = report.satisfied if tol_rel is None else _satisfied(
                 report.gap, report.lhs, report.rhs, tol_rel)
@@ -299,8 +312,10 @@ def run_campaign(config: SampleConfig, inequalities: Sequence[str],
                     ensemble=config.ensemble, seed=config.seed, epsilon=config.epsilon,
                     gamma_defect_product=gamma.defect_product,
                     gamma_defect_bracket=gamma.defect_bracket)
-        records += _rows(echo, plan, bundle.a, bundle.b, bundle.c,
-                         (bundle.log_a, bundle.log_b), tol_rel)
+        logs = (bundle.log_a, bundle.log_b)
+        family = functools.cache(
+            lambda name, p: _family(name, p, bundle.a, bundle.b, bundle.c, logs))
+        records += _rows(echo, plan, family, tol_rel)
     records.sort(key=lambda r: (r.index, r.inequality, -1.0 if math.isnan(r.p) else r.p))
     return records
 
@@ -309,24 +324,37 @@ def gap_scan(A: SpdMatrix, B: SpdMatrix, eps_grid: Sequence[float], p, *,
              seed: int = 0) -> list[ScanRecord]:
     """Distance-lower-bound gap along a noncommutativity ray from (A, B).
 
-    For each epsilon in the ascending grid (which must start at 0), B is
+    For each epsilon in the finite ascending grid (which must start at 0), B is
     perturbed to ``exp(log B + eps * K)`` with K a seeded unit-Frobenius
     Hermitian direction, and the gap plus commutator defect is recorded.
     The eps = 0 row reproduces the base pair, so its gap vanishes exactly
-    when A and B commute.  Every order p >= 1 or inf is accepted.
+    when A and B commute.  ``p`` is one order p >= 1 or inf, or a sequence of
+    them: the ray is built once, each step one batched call over its points,
+    and every order reads it, with rows in (order, epsilon) order.
     """
     grid = [float(e) for e in eps_grid]
-    if not grid or grid[0] != 0.0 or any(not b > a for a, b in zip(grid, grid[1:])):
-        raise ValueError("eps grid must be strictly ascending and start at 0")
-    plan = [(CHECKERS["distance_lower_bound"], _validate_p(p))]
-    rng = np.random.default_rng(mix_seed(seed, 0))
-    direction = _unit_direction(rng, A.dim)
+    if (not grid or grid[0] != 0.0 or not math.isfinite(grid[-1])
+            or any(not b > a for a, b in zip(grid, grid[1:]))):
+        raise ValueError("eps grid must be finite, strictly ascending and start at 0")
+    orders = [_validate_p(q) for q in np.atleast_1d(p)]
+    _matching(A, B)
+    direction = _unit_direction(np.random.default_rng(mix_seed(seed, 0)), A.dim)
     log_b = mat_log(B)
-    records = []
-    for i, eps in enumerate(grid):
-        echo = dict(index=i, dim=A.dim, spread=math.nan, ensemble="near_commuting", seed=seed,
-                    epsilon=eps, gamma_defect_product=math.nan, gamma_defect_bracket=math.nan)
-        records += _rows(echo, plan, A, _perturb(B, log_b, direction, eps)[0])
+    _, arrays, gate, error = _perturb(log_b, direction, np.array(grid[1:]))
+    points = np.concatenate([B.array[None], arrays])
+    delta = _sandwich_log_spectra(A, points)
+    if error is not None:
+        raise error
+    logs = np.concatenate([log_b.array[None], _spectral_stack(gate, np.log)])
+    families = [({"delta_p": d, "log_euclidean": e}, commutator_defect(A, point))
+                for d, e, point in zip(delta, _log_euclidean_spectra(A, logs), points)]
+    checker, records = CHECKERS["distance_lower_bound"], []
+    for q in orders:
+        for i, (eps, family) in enumerate(zip(grid, families)):
+            echo = dict(index=i, dim=A.dim, spread=math.nan, ensemble="near_commuting",
+                        seed=seed, epsilon=eps, gamma_defect_product=math.nan,
+                        gamma_defect_bracket=math.nan)
+            records += _rows(echo, [(checker, q)], lambda *_: family)
     return records
 
 

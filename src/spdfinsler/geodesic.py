@@ -52,7 +52,7 @@ FINITE_DIFF_STEP = 1e-5
 
 
 def _congruence(S: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Hermitian part of S X S, for Hermitian S."""
+    """Hermitian part of S X S, for Hermitian S and X a matrix or a stack."""
     return _hermitian_part(S @ X @ S)
 
 
@@ -65,7 +65,21 @@ def _sandwich_log_eigs(A: SpdMatrix, B: SpdMatrix) -> np.ndarray:
     Aa, Ba = _matching(A, B)
     if np.array_equal(Aa, Ba):
         return np.zeros(A.dim)
-    w = np.linalg.eigvalsh(_congruence(mat_pow(A, -0.5).array, Ba))
+    return _log_descending(np.linalg.eigvalsh(_congruence(mat_pow(A, -0.5).array, Ba)))
+
+
+def _sandwich_log_spectra(A: SpdMatrix, stack: np.ndarray) -> list[np.ndarray]:
+    """``_sandwich_log_eigs(A, B_k)`` for each B_k of a stack, from one
+    batched eigvalsh; log runs one spectrum at a time, and the first B_k
+    whose sandwich lost positivity raises."""
+    spectra = np.linalg.eigvalsh(_congruence(mat_pow(A, -0.5).array, stack))
+    return [np.zeros(A.dim) if np.array_equal(A.array, B) else _log_descending(w)
+            for B, w in zip(stack, spectra)]
+
+
+def _log_descending(w: np.ndarray) -> np.ndarray:
+    """log of an ascending sandwich spectrum, descending; raises if the
+    sandwich lost positivity."""
     if w[0] <= 0.0:
         raise ValueError(_LOST_POSITIVITY)
     return np.log(w[::-1])
@@ -75,6 +89,12 @@ def _log_euclidean_eigs(A: SpdMatrix, B: SpdMatrix) -> np.ndarray:
     """Eigenvalues of log A - log B, whose l^p norm is the log-Euclidean distance."""
     _matching(A, B)
     return np.linalg.eigvalsh(mat_log(A).array - mat_log(B).array)
+
+
+def _log_euclidean_spectra(A: SpdMatrix, logs: np.ndarray) -> np.ndarray:
+    """Eigenvalues of log A - L_k for each L_k of a stack of logs, from one
+    batched eigvalsh."""
+    return np.linalg.eigvalsh(mat_log(A).array - logs)
 
 
 class GeodesicCurve:
@@ -120,8 +140,11 @@ def weighted_mean(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
     """Weighted geometric mean: the geodesic point A #_t B.
 
     ``t = 0`` gives A and ``t = 1`` gives B; values outside [0, 1]
-    extrapolate the geodesic line.
+    extrapolate the geodesic line.  Equal arrays give A itself, so A #_t A
+    is exactly A for every real t rather than the roundoff of the curve.
     """
+    if np.array_equal(*_matching(A, B)):
+        return A
     return GeodesicCurve(A, B).eval(t)
 
 

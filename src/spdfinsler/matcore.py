@@ -69,8 +69,8 @@ def _matching(X, Y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hermitian_part(arr: np.ndarray) -> np.ndarray:
-    """The Hermitian part (arr + arr^H) / 2 of a square array."""
-    return 0.5 * (arr + arr.conj().T)
+    """The Hermitian part (arr + arr^H) / 2 of a square array or a stack of them."""
+    return 0.5 * (arr + arr.conj().mT)
 
 
 class HermitianMatrix:
@@ -115,19 +115,22 @@ class HermitianMatrix:
         self._array, self._eig = entries._array, entries._eig
 
     @classmethod
-    def _adopt(cls, arr: np.ndarray, values: np.ndarray | None = None):
+    def _adopt(cls, arr: np.ndarray, values: np.ndarray | None = None,
+               dec: "EigenDecomposition | None" = None):
         """Wrap, unchecked, an array the package built exactly Hermitian: an
         ``_assemble``, ``_congruence`` or ``_hermitian_part`` result, or a real
         multiple or sum of such arrays.  An SpdMatrix adopted here is derived,
         the spectrum ``values`` taken through a congruence; its condition can
         reach the product of its sources' (kappa(A) kappa(B) for a geodesic
         point), so it is checked for ``0 < values < inf`` only, not gated.
+        ``dec``, when given, is the array's decomposition (from a batched
+        gate, say): it is cached, and supplies the values.
         """
-        if cls is SpdMatrix and not (values.min() > 0.0 and values.max() < np.inf):
-            raise ValueError(_LOST_POSITIVITY)
+        if cls is SpdMatrix:
+            _require_positive(values if dec is None else dec.eigenvalues)
         self = object.__new__(cls)
         arr.flags.writeable = False
-        self._array, self._eig = arr, [None]
+        self._array, self._eig = arr, [dec]
         return self
 
     @property
@@ -187,25 +190,43 @@ class SpdMatrix(HermitianMatrix):
 
     def __init__(self, entries):
         super().__init__(entries)
-        dec = self.eig()
-        lam_max = float(dec.eigenvalues[0])
-        lam_min = float(dec.eigenvalues[-1])
-        if not (lam_max > 0.0 and lam_min > SPD_EIGENVALUE_FLOOR * lam_max):
-            raise ValueError(
-                f"matrix is not safely positive definite: lambda_min = {lam_min:.6e}, "
-                f"lambda_max = {lam_max:.6e} (gate: lambda_min > 1e-10 * lambda_max)"
-            )
+        values = self.eig().eigenvalues
+        lam_max, lam_min = float(values[0]), float(values[-1])
+        if not _passes_gate(lam_max, lam_min):
+            raise _gate_error(lam_max, lam_min)
+
+
+def _passes_gate(lam_max, lam_min):
+    """The SPD gate lambda_min > 1e-10 * lambda_max, on floats or on arrays
+    of them (one pair per matrix of a stack)."""
+    return (lam_max > 0.0) & (lam_min > SPD_EIGENVALUE_FLOOR * lam_max)
+
+
+def _gate_error(lam_max: float, lam_min: float) -> ValueError:
+    """The error for a matrix that fails the SPD gate."""
+    return ValueError(
+        f"matrix is not safely positive definite: lambda_min = {lam_min:.6e}, "
+        f"lambda_max = {lam_max:.6e} (gate: lambda_min > 1e-10 * lambda_max)"
+    )
+
+
+def _require_positive(values: np.ndarray) -> np.ndarray:
+    """The spectral values of a derived SPD matrix, checked 0 < values < inf."""
+    if not (values.min() > 0.0 and values.max() < np.inf):
+        raise ValueError(_LOST_POSITIVITY)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Spectral factorization H = U diag(eigenvalues) U^H.
+    """Spectral factorization H = U diag(eigenvalues) U^H, of one matrix or,
+    with a leading axis, of each matrix in a stack.
 
     Attributes
     ----------
-    eigenvalues : ndarray, shape (dim,)
+    eigenvalues : ndarray, shape (dim,) or (count, dim)
         Real eigenvalues sorted descending.
-    unitary : ndarray, shape (dim, dim)
+    unitary : ndarray, shape (dim, dim) or (count, dim, dim)
         Columns are the corresponding eigenvectors; each column's
         largest-magnitude component is real and positive.
     """
@@ -213,23 +234,29 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     unitary: np.ndarray
 
+    def __getitem__(self, index) -> "EigenDecomposition":
+        """The decompositions of the selected matrices of a stack."""
+        return EigenDecomposition(self.eigenvalues[index], self.unitary[index])
+
 
 def _eigh_array(arr: np.ndarray) -> EigenDecomposition:
+    """Decomposition of a Hermitian array, or of a stack in one batched call."""
     try:
         w, v = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(
             f"Hermitian eigensolver did not converge within the LAPACK iteration cap "
-            f"(30 sweeps per off-diagonal element) on a {arr.shape[0]}x{arr.shape[0]} input"
+            f"(30 sweeps per off-diagonal element) on a {arr.shape[-1]}x{arr.shape[-1]} input"
         ) from exc
-    w = np.ascontiguousarray(w[::-1])
-    v = np.ascontiguousarray(v[:, ::-1])
-    # Deterministic phase: make each column's largest-|.| component real positive.
-    pivot_rows = np.argmax(np.abs(v), axis=0)
-    pivots = v[pivot_rows, np.arange(v.shape[1])]
+    w = np.ascontiguousarray(w[..., ::-1])
+    v = np.ascontiguousarray(v[..., ::-1])
+    # Deterministic phase: make each column's largest-|.| component real
+    # positive.  In a stack, a pivot's index also names its matrix.
+    matrices = () if v.ndim == 2 else (np.arange(len(v))[:, None],)
+    pivots = v[(*matrices, np.argmax(np.abs(v), axis=-2), np.arange(v.shape[-1]))]
     mags = np.abs(pivots)
     phases = np.where(mags > 0, pivots / np.where(mags > 0, mags, 1.0), 1.0)
-    v = v * phases.conj()
+    v = v * phases.conj()[..., None, :]
     w.flags.writeable = False
     v.flags.writeable = False
     return EigenDecomposition(eigenvalues=w, unitary=v)
@@ -250,12 +277,13 @@ def eigh(H) -> EigenDecomposition:
 
 
 def _assemble(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Hermitian part of ``basis @ diag(values) @ basis^H``.
+    """Hermitian part of ``basis @ diag(values) @ basis^H``, or of each such
+    product over a stack of bases and value rows, in one batched call.
 
     The one spectral-assembly routine: matrix functions, geodesic factors
     and the sampled ensembles all build their matrices here.
     """
-    return _hermitian_part((basis * values) @ basis.conj().T)
+    return _hermitian_part((basis * values[..., None, :]) @ basis.conj().mT)
 
 
 def mat_fn(A, f) -> HermitianMatrix:
@@ -276,7 +304,12 @@ def mat_fn(A, f) -> HermitianMatrix:
 def _spectral(A, f, cls):
     """f(A) adopted as a ``cls``: the one spectral-function path."""
     dec = eigh(A)
-    eigs = dec.eigenvalues
+    vals = _function_values(dec.eigenvalues, f)
+    return cls._adopt(_assemble(dec.unitary, vals), vals)
+
+
+def _function_values(eigs: np.ndarray, f) -> np.ndarray:
+    """f on one spectrum, checked real and finite."""
     with np.errstate(all="ignore"):
         try:
             vals = np.asarray(f(eigs))
@@ -301,7 +334,47 @@ def _spectral(A, f, cls):
         raise MatrixFunctionDomainError(
             f"scalar function undefined (non-finite) at eigenvalue(s) {bad}"
         )
-    return cls._adopt(_assemble(dec.unitary, vals), vals)
+    return vals
+
+
+def _spectral_stack(dec: EigenDecomposition, f) -> np.ndarray:
+    """f of each matrix of a stack, from the stack's decomposition: ``f`` is
+    applied one spectrum at a time, as for a single matrix, because a
+    vectorized scalar function need not round a whole stack the same as its
+    rows; the assembly is one batched call."""
+    vals = np.array([_function_values(eigs, f) for eigs in dec.eigenvalues])
+    return _assemble(dec.unitary, vals.reshape(dec.eigenvalues.shape))
+
+
+def _gated_exp_stack(logs: np.ndarray) -> tuple[np.ndarray, EigenDecomposition,
+                                                 ValueError | None]:
+    """``SpdMatrix(mat_exp(H_k))`` for each H_k of a Hermitian stack, each
+    step one batched call over the stack but exp, which runs one spectrum at
+    a time as in ``mat_exp``.
+
+    Returns the arrays and gate decompositions of the leading matrices that
+    pass exp's checks and the SPD gate, and the error of the first matrix
+    that fails (None when none does).  The error is returned, not raised, so
+    that a caller running later steps on the kept matrices raises their
+    errors first, as a loop over the matrices would.
+    """
+    dec = _eigh_array(logs)
+    values, error = [], None
+    for eigs in dec.eigenvalues:
+        try:
+            values.append(_require_positive(_function_values(eigs, np.exp)))
+        except ValueError as exc:
+            error = exc
+            break
+    count = len(values)
+    arrays = _assemble(dec.unitary[:count], np.reshape(values, (count, logs.shape[-1])))
+    gate = _eigh_array(arrays)
+    lam_max, lam_min = gate.eigenvalues[:, 0], gate.eigenvalues[:, -1]
+    passed = _passes_gate(lam_max, lam_min)
+    if not passed.all():
+        count = int(np.argmin(passed))
+        error = _gate_error(lam_max[count], lam_min[count])
+    return arrays[:count], gate[:count], error
 
 
 def mat_log(A) -> HermitianMatrix:

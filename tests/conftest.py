@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -48,19 +50,24 @@ def random_invertible(rng, dim: int, cond_max: float = 1e3) -> np.ndarray:
             return x
 
 
+KERNELS = ("eigh", "eigvalsh", "svd")
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch) -> dict[str, int]:
     """Live counts of the numpy.linalg eigh, eigvalsh and svd calls made
-    during the test."""
-    counts = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
+    during the test, and under "<kernel>_matrices" of the matrices they
+    decomposed: a stacked call counts its stack's length."""
+    counts = dict.fromkeys(KERNELS + tuple(f"{name}_matrices" for name in KERNELS), 0)
 
     def counted(name, kernel):
-        def call(*args, **kwargs):
+        def call(a, *args, **kwargs):
             counts[name] += 1
-            return kernel(*args, **kwargs)
+            counts[f"{name}_matrices"] += math.prod(np.shape(a)[:-2])
+            return kernel(a, *args, **kwargs)
         return call
 
-    for name in counts:
+    for name in KERNELS:
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return counts
 

@@ -97,6 +97,7 @@ def test_invalid_flag_values_are_usage_errors(capsys):
     assert capsys.readouterr().err.startswith("usage: spdfinsler gap-study ")
     assert main(["gap-study", "--p", "nan"]) == 2
     assert main(["gap-study", "--eps-grid", "0.1,0.2"]) == 2
+    assert main(["gap-study", "--eps-grid", "0,1,inf"]) == 2
     assert main(["verify", "--ensemble", "near_commuting", "--eps-grid", "-1"]) == 2
     capsys.readouterr()
     assert main(["verify", "--ensemble", "generic", "--eps-grid", "-1"]) == 2

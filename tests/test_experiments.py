@@ -7,14 +7,21 @@ import pytest
 
 from spdfinsler import (
     CheckerRangeError,
+    MatrixFunctionDomainError,
     SampleConfig,
+    SpdMatrix,
+    check_distance_lower_bound,
+    commutator_defect,
     gamma_commute,
     is_commuting,
+    mat_exp,
+    mat_log,
     mix_seed,
 )
 from spdfinsler.experiments import (
     CHECKERS,
     CSV_COLUMNS,
+    _unit_direction,
     gap_scan,
     render_csv,
     run_campaign,
@@ -182,7 +189,8 @@ class TestRunCampaign:
     def test_kernel_call_budget(self, kernel_calls):
         # Derived matrices cost no gate eigh; a check brought back fails here.
         run_campaign(SampleConfig(dim=3), ALL_INEQUALITIES, P_GRID, 2)
-        assert kernel_calls == {"eigh": 60, "eigvalsh": 24, "svd": 10}
+        assert kernel_calls == {"eigh": 60, "eigvalsh": 24, "svd": 10,
+                                "eigh_matrices": 60, "eigvalsh_matrices": 24, "svd_matrices": 10}
 
     def test_tolerance_override(self):
         config = SampleConfig(dim=2, seed=16)
@@ -220,6 +228,10 @@ class TestGapScan:
             gap_scan(a, b, [0.0, 0.2, 0.1], 2.0)
         with pytest.raises(ValueError, match="ascending"):
             gap_scan(a, b, [0.0, math.nan], 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            gap_scan(a, b, [0.0, 1.0, math.inf], 2.0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            gap_scan(a, random_spd(rng, 3), [0.0, 0.5], 2.0)
 
     def test_deterministic(self):
         rng = make_rng(20)
@@ -227,6 +239,48 @@ class TestGapScan:
         one = gap_scan(a, b, [0.0, 0.5], 1.5, seed=3)
         two = gap_scan(a, b, [0.0, 0.5], 1.5, seed=3)
         assert render_csv(one) == render_csv(two)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+    def test_stacked_ray_matches_per_point_path(self, dim, p):
+        # Each row equals the public checker on the point exp(log B + eps K).
+        bundle = sample_bundle(SampleConfig(dim=dim, ensemble="commuting_pair", seed=dim), 0)
+        a, b = bundle.a, bundle.b
+        grid = [0.0, 0.1, 0.25, 0.5, 1.0]
+        direction = _unit_direction(np.random.default_rng(mix_seed(dim, 0)), dim).array
+        log_b = mat_log(b).array
+        points = [b] + [SpdMatrix(mat_exp(log_b + eps * direction)) for eps in grid[1:]]
+        records = gap_scan(a, b, grid, p, seed=dim)
+        assert len(records) == len(points)
+        for record, point in zip(records, points):
+            report = check_distance_lower_bound(a, point, p)
+            assert (record.lhs, record.rhs, record.gap, record.commutator_defect) == (
+                report.lhs, report.rhs, report.gap, commutator_defect(a, point))
+
+    def test_orders_read_one_ray(self, kernel_calls):
+        bundle = sample_bundle(SampleConfig(dim=3, ensemble="commuting_pair", seed=24), 0)
+        a, b = bundle.a, bundle.b
+        orders = [1.0, 2.0, math.inf]
+        for grid in ([0.0], [0.0, 0.5], [0.1 * k for k in range(11)]):
+            kernel_calls.update(dict.fromkeys(kernel_calls, 0))
+            records = gap_scan(a, b, grid, orders, seed=24)
+            points = len(grid)
+            assert kernel_calls == {"eigh": 2, "eigvalsh": 2, "svd": 0,
+                                    "eigh_matrices": 2 * (points - 1),
+                                    "eigvalsh_matrices": 2 * points, "svd_matrices": 0}
+            assert render_csv(records) == render_csv(
+                [r for p in orders for r in gap_scan(a, b, grid, p, seed=24)])
+
+    @pytest.mark.parametrize("grid, error, match", [
+        ([0.0, 1.0, 50.0], ValueError, "not safely positive definite"),
+        ([0.0, 1.0, 2000.0], MatrixFunctionDomainError, "non-finite"),
+        # The gate failure at eps = 50 comes before the overflow at 2000.
+        ([0.0, 1.0, 50.0, 2000.0], ValueError, "not safely positive definite"),
+    ])
+    def test_ray_points_still_checked(self, grid, error, match):
+        bundle = sample_bundle(SampleConfig(dim=3, ensemble="commuting_pair", seed=17), 0)
+        with pytest.raises(error, match=match):
+            gap_scan(bundle.a, bundle.b, grid, 2.0, seed=17)
 
 
 class TestCsv:

@@ -34,10 +34,12 @@ P_GRID = (1.1, 1.5, 2.0, 3.0, 4.0)
 
 
 class TestWeightedMean:
-    def test_same_endpoints(self):
-        a = random_spd(make_rng(1), 3)
-        for t in (-0.5, 0.0, 0.3, 1.0, 2.0):
-            assert np.allclose(weighted_mean(a, a, t).array, a.array, atol=1e-12)
+    def test_same_endpoints(self, witness_pair):
+        # A #_t A is A's exact bits, as delta_p(A, A) is exactly 0.
+        for a in (witness_pair[0], random_spd(make_rng(1), 5)):
+            assert np.array_equal(geometric_mean(a, a).array, a.array)
+            for t in (-0.5, 0.0, 0.3, 1.0, 2.0):
+                assert np.array_equal(weighted_mean(a, a, t).array, a.array)
 
     def test_commuting_reduction(self):
         a = SpdMatrix(np.diag([1.0, 4.0]))

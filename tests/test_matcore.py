@@ -22,6 +22,7 @@ from spdfinsler import (
     mat_pow,
     mat_sqrt,
 )
+from spdfinsler.matcore import _assemble, _eigh_array, _hermitian_part
 
 from conftest import make_rng, random_hermitian, random_spd
 
@@ -103,6 +104,21 @@ class TestEigh:
         d1, d2 = eigh(HermitianMatrix(h.array)), eigh(HermitianMatrix(h.array))
         assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
         assert np.array_equal(d1.unitary, d2.unitary)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32])
+    def test_stack_matches_each_matrix(self, dim):
+        # A stacked decomposition and assembly give each matrix's own bits.
+        rng = make_rng(dim)
+        raw = rng.standard_normal((11, dim, dim)) + 1j * rng.standard_normal((11, dim, dim))
+        stack = _hermitian_part(raw)
+        dec = _eigh_array(stack)
+        rebuilt = _assemble(dec.unitary, dec.eigenvalues)
+        for k in range(11):
+            assert np.array_equal(stack[k], _hermitian_part(raw[k]))
+            one = eigh(HermitianMatrix._adopt(stack[k].copy()))
+            assert np.array_equal(dec.eigenvalues[k], one.eigenvalues)
+            assert np.array_equal(dec.unitary[k], one.unitary)
+            assert np.array_equal(rebuilt[k], _assemble(one.unitary, one.eigenvalues))
 
     def test_returns_eigendecomposition(self):
         assert isinstance(eigh(identity(2)), EigenDecomposition)
