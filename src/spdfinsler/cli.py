@@ -178,8 +178,8 @@ def _validate_flags(args) -> None:
     elif args.ensemble != "near_commuting" and grid != [0.0]:
         raise CheckerRangeError(
             f"--eps-grid applies only to --ensemble near_commuting, got {grid}")
-    elif not all(e >= 0.0 for e in grid):
-        raise CheckerRangeError(f"--eps-grid values must be nonnegative, got {grid}")
+    elif not all(0.0 <= e < math.inf for e in grid):
+        raise CheckerRangeError(f"--eps-grid values must be finite and nonnegative, got {grid}")
 
 
 def main(argv=None) -> int:

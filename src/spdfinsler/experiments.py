@@ -20,20 +20,14 @@ from .matcore import (
     HermitianMatrix,
     SpdMatrix,
     _assemble,
+    _function_values,
     _gated_exp_stack,
     _hermitian_part,
     _matching,
-    _spectral_stack,
     commutator_defect,
-    mat_exp,
     mat_log,
 )
-from .geodesic import (
-    _log_euclidean_spectra,
-    _sandwich_log_spectra,
-    gamma_commute,
-    project_to_unit_sphere,
-)
+from .geodesic import gamma_commute, project_to_unit_sphere
 from .inequalities import (
     CHECKERS,
     CheckerRangeError,
@@ -108,8 +102,8 @@ class SampleConfig:
             raise ValueError(f"unknown ensemble {self.ensemble!r}; choose from {ENSEMBLES}")
         if not 0 <= int(self.seed) <= _MASK64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if not self.epsilon >= 0.0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -162,15 +156,13 @@ def _from_basis(basis: np.ndarray, log_values: np.ndarray) -> tuple[SpdMatrix, H
     return spd, HermitianMatrix._adopt(_assemble(basis, log_values))
 
 
-def _perturb(log_b: HermitianMatrix, direction: HermitianMatrix, eps: np.ndarray):
-    """B moved along the ray exp(log B + eps_k K), for a 1-D array of eps_k > 0.
-
-    Returns the stack of logs log B + eps_k K, then ``_gated_exp_stack`` of
-    it: the arrays and gate decompositions of the leading points that pass,
-    and the error of the first point that fails.
-    """
-    logs = log_b.array + eps[:, None, None] * direction.array
-    return (logs, *_gated_exp_stack(logs))
+def _gated_exp(logs: list[np.ndarray]) -> list[SpdMatrix]:
+    """exp of each Hermitian array, through the SPD gate in one batched
+    ``_gated_exp_stack`` call; the first failing matrix's error is raised."""
+    arrays, gate, error = _gated_exp_stack(np.array(logs))
+    if error is not None:
+        raise error
+    return [SpdMatrix._adopt(arrays[k], dec=gate[k]) for k in range(len(logs))]
 
 
 def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
@@ -186,7 +178,7 @@ def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
         h1 = _random_hermitian(rng, dim, sigma)
         h2 = _random_hermitian(rng, dim, sigma)
         h3 = _random_hermitian(rng, dim, sigma)
-        a, b, c = (SpdMatrix(mat_exp(h)) for h in (h1, h2, h3))
+        a, b, c = _gated_exp([h.array for h in (h1, h2, h3)])
         return SampleBundle(a, b, c, h1, h2)
 
     if config.ensemble == "commuting_pair":
@@ -194,7 +186,7 @@ def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
         a, log_a = _from_basis(basis, sigma * rng.standard_normal(dim))
         b, log_b = _from_basis(basis, sigma * rng.standard_normal(dim))
         h3 = _random_hermitian(rng, dim, sigma)
-        return SampleBundle(a, b, SpdMatrix(mat_exp(h3)), log_a, log_b)
+        return SampleBundle(a, b, *_gated_exp([h3.array]), log_a, log_b)
 
     if config.ensemble == "commuting_triple":
         basis = _random_unitary(rng, dim)
@@ -216,12 +208,11 @@ def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
     b, log_b = _from_basis(basis, sigma * rng.standard_normal(dim))
     direction = _unit_direction(rng, dim)
     h3 = _random_hermitian(rng, dim, sigma)
-    if config.epsilon > 0.0:
-        logs, points, gate, error = _perturb(log_b, direction, np.array([config.epsilon]))
-        if error is not None:
-            raise error
-        b, log_b = SpdMatrix._adopt(points[0], dec=gate[0]), HermitianMatrix._adopt(logs[0])
-    return SampleBundle(a, b, SpdMatrix(mat_exp(h3)), log_a, log_b)
+    if config.epsilon == 0.0:
+        return SampleBundle(a, b, *_gated_exp([h3.array]), log_a, log_b)
+    log_b = HermitianMatrix._adopt(log_b.array + config.epsilon * direction.array)
+    b, c = _gated_exp([log_b.array, h3.array])
+    return SampleBundle(a, b, c, log_a, log_b)
 
 
 @dataclass(frozen=True)
@@ -253,7 +244,7 @@ def _family(family: str, p, a: SpdMatrix, b: SpdMatrix, c, logs):
     if family == "triple":
         return _triple_spectra(a, b, c), commutator_defect(a, b)
     if family == "distance":
-        return _distance_spectra(a, b), commutator_defect(a, b)
+        return _distance_spectra(a, b, mat_log(b).array), commutator_defect(a, b)
     values = _pair_spectra(*logs) if family == "norms" else logs
     return values, commutator_defect(*logs)
 
@@ -339,15 +330,20 @@ def gap_scan(A: SpdMatrix, B: SpdMatrix, eps_grid: Sequence[float], p, *,
     orders = [_validate_p(q) for q in np.atleast_1d(p)]
     _matching(A, B)
     direction = _unit_direction(np.random.default_rng(mix_seed(seed, 0)), A.dim)
-    log_b = mat_log(B)
-    _, arrays, gate, error = _perturb(log_b, direction, np.array(grid[1:]))
+    log_b = mat_log(B).array
+    arrays, gate, error = _gated_exp_stack(
+        log_b + np.array(grid[1:])[:, None, None] * direction.array)
     points = np.concatenate([B.array[None], arrays])
-    delta = _sandwich_log_spectra(A, points)
+    logs = np.concatenate([log_b[None], _assemble(
+        gate.unitary, _function_values(gate.eigenvalues, np.log))])
+    # A sandwich that lost positivity at a kept point raises before the
+    # first failing point's error, as a loop over the points would.
+    spectra = _distance_spectra(A, points, logs)
     if error is not None:
         raise error
-    logs = np.concatenate([log_b.array[None], _spectral_stack(gate, np.log)])
-    families = [({"delta_p": d, "log_euclidean": e}, commutator_defect(A, point))
-                for d, e, point in zip(delta, _log_euclidean_spectra(A, logs), points)]
+    defects = [float(np.linalg.norm(m)) for m in A.array @ points - points @ A.array]
+    families = [(dict(zip(spectra, values)), defect)
+                for values, defect in zip(zip(*spectra.values()), defects)]
     checker, records = CHECKERS["distance_lower_bound"], []
     for q in orders:
         for i, (eps, family) in enumerate(zip(grid, families)):

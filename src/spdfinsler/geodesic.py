@@ -56,25 +56,22 @@ def _congruence(S: np.ndarray, X: np.ndarray) -> np.ndarray:
     return _hermitian_part(S @ X @ S)
 
 
-def _sandwich_log_eigs(A: SpdMatrix, B: SpdMatrix) -> np.ndarray:
-    """log of the eigenvalues of A^{-1/2} B A^{-1/2}, descending.
+def _sandwich_log_eigs(A: SpdMatrix, B) -> np.ndarray:
+    """log of the eigenvalues of A^{-1/2} B A^{-1/2}, descending, for one SPD
+    matrix B or, row by row, for each matrix of a ``(k, d, d)`` stack.
 
-    Equal arrays give the exact zero spectrum, so delta_p(A, A) is exactly 0
-    rather than the roundoff of the sandwich.
+    One eigvalsh serves the whole stack; log runs one spectrum at a time.  A
+    matrix equal to A gives the exact zero spectrum, so delta_p(A, A) is
+    exactly 0 rather than the roundoff of the sandwich.
     """
-    Aa, Ba = _matching(A, B)
-    if np.array_equal(Aa, Ba):
-        return np.zeros(A.dim)
-    return _log_descending(np.linalg.eigvalsh(_congruence(mat_pow(A, -0.5).array, Ba)))
-
-
-def _sandwich_log_spectra(A: SpdMatrix, stack: np.ndarray) -> list[np.ndarray]:
-    """``_sandwich_log_eigs(A, B_k)`` for each B_k of a stack, from one
-    batched eigvalsh; log runs one spectrum at a time, and the first B_k
-    whose sandwich lost positivity raises."""
-    spectra = np.linalg.eigvalsh(_congruence(mat_pow(A, -0.5).array, stack))
-    return [np.zeros(A.dim) if np.array_equal(A.array, B) else _log_descending(w)
-            for B, w in zip(stack, spectra)]
+    Aa, Ba = _matching(A, B, stack=True)
+    equal = (Ba == Aa).reshape(-1, Aa.size).all(axis=1).tolist()
+    if all(equal):
+        return np.zeros(Ba.shape[:-1])
+    w = np.linalg.eigvalsh(_congruence(mat_pow(A, -0.5).array, Ba))
+    logs = [np.zeros(A.dim) if same else _log_descending(row)
+            for same, row in zip(equal, w.reshape(-1, A.dim))]
+    return logs[0] if Ba.ndim == 2 else np.array(logs)
 
 
 def _log_descending(w: np.ndarray) -> np.ndarray:
@@ -85,16 +82,11 @@ def _log_descending(w: np.ndarray) -> np.ndarray:
     return np.log(w[::-1])
 
 
-def _log_euclidean_eigs(A: SpdMatrix, B: SpdMatrix) -> np.ndarray:
-    """Eigenvalues of log A - log B, whose l^p norm is the log-Euclidean distance."""
-    _matching(A, B)
-    return np.linalg.eigvalsh(mat_log(A).array - mat_log(B).array)
-
-
-def _log_euclidean_spectra(A: SpdMatrix, logs: np.ndarray) -> np.ndarray:
-    """Eigenvalues of log A - L_k for each L_k of a stack of logs, from one
-    batched eigvalsh."""
-    return np.linalg.eigvalsh(mat_log(A).array - logs)
+def _log_euclidean_eigs(A: SpdMatrix, log_B: np.ndarray) -> np.ndarray:
+    """Eigenvalues of log A - log B, whose l^p norm is the log-Euclidean
+    distance, for log B one Hermitian array or, from one batched eigvalsh,
+    each of a ``(k, d, d)`` stack of them."""
+    return np.linalg.eigvalsh(mat_log(A).array - log_B)
 
 
 class GeodesicCurve:
@@ -171,7 +163,8 @@ def delta_p_to_identity(U: SpdMatrix, p) -> float:
 def log_euclidean_dist(A: SpdMatrix, B: SpdMatrix, p) -> float:
     """The log-Euclidean lower bound ||log(A) - log(B)||_p."""
     p = _validate_p(p)
-    return _lp(_log_euclidean_eigs(A, B), p)
+    _matching(A, B)
+    return _lp(_log_euclidean_eigs(A, mat_log(B).array), p)
 
 
 def _speed_from_arrays(point: SpdMatrix, velocity: np.ndarray, p: float) -> float:

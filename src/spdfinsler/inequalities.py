@@ -26,6 +26,7 @@ from .matcore import (
     as_matrix,
     commutator_defect,
     mat_exp,
+    mat_log,
 )
 from .schatten import (
     MajorizationVerdict,
@@ -180,19 +181,21 @@ def _pair_spectra(X, Y) -> dict[str, np.ndarray]:
     }
 
 
-def _distance_spectra(A: SpdMatrix, B: SpdMatrix) -> dict[str, np.ndarray]:
+def _distance_spectra(A: SpdMatrix, B, log_B: np.ndarray) -> dict[str, np.ndarray]:
     """The "distance" family: the log-spectra behind delta_p(A, B) and
-    ||log A - log B||_p."""
-    return {"delta_p": _sandwich_log_eigs(A, B), "log_euclidean": _log_euclidean_eigs(A, B)}
+    ||log A - log B||_p, given log B.  B and log B may also be ``(k, d, d)``
+    stacks, giving one spectrum per row."""
+    return {"delta_p": _sandwich_log_eigs(A, B), "log_euclidean": _log_euclidean_eigs(A, log_B)}
 
 
 def _triple_spectra(A: SpdMatrix, B: SpdMatrix, C: SpdMatrix) -> dict[str, np.ndarray]:
     """The "triple" family: sandwich log-spectra of (A,C), (B,C), (A,B) and (A#B,C)."""
     mid = geometric_mean(A, B)
+    d_ac, d_ab = _sandwich_log_eigs(A, np.array(_matching(C, B)))
     return {
-        "d_ac": _sandwich_log_eigs(A, C),
+        "d_ac": d_ac,
         "d_bc": _sandwich_log_eigs(B, C),
-        "d_ab": _sandwich_log_eigs(A, B),
+        "d_ab": d_ab,
         "d_mid": _sandwich_log_eigs(mid, C),
     }
 
@@ -359,7 +362,8 @@ def check_distance_lower_bound(A: SpdMatrix, B: SpdMatrix, p) -> InequalityRepor
     this is the one checker whose public domain is wider than its row.
     """
     p = _validate_p(p)
-    (report,) = CHECKERS["distance_lower_bound"].evaluate(_distance_spectra(A, B), p)
+    spectra = _distance_spectra(A, B, mat_log(B).array)
+    (report,) = CHECKERS["distance_lower_bound"].evaluate(spectra, p)
     report.diagnostics["commutator_defect"] = commutator_defect(A, B)
     return report
 

@@ -60,10 +60,12 @@ def as_matrix(value) -> np.ndarray:
     return arr
 
 
-def _matching(X, Y) -> tuple[np.ndarray, np.ndarray]:
-    """Entries of two operands that must share one shape."""
-    Xa, Ya = as_matrix(X), as_matrix(Y)
-    if Xa.shape != Ya.shape:
+def _matching(X, Y, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of two operands that must share one shape; with ``stack``, Y
+    may also be a ``(k, d, d)`` array, a stack of matrices shaped like X."""
+    Xa = as_matrix(X)
+    Ya = Y if stack and isinstance(Y, np.ndarray) and Y.ndim == 3 else as_matrix(Y)
+    if Xa.shape != Ya.shape[-2:]:
         raise ValueError(f"dimension mismatch: {Xa.shape} vs {Ya.shape}")
     return Xa, Ya
 
@@ -309,7 +311,11 @@ def _spectral(A, f, cls):
 
 
 def _function_values(eigs: np.ndarray, f) -> np.ndarray:
-    """f on one spectrum, checked real and finite."""
+    """f on one spectrum, or on each row of a ``(k, d)`` stack of spectra,
+    checked real and finite.  A stack runs row by row, because a vectorized
+    scalar function need not round a whole stack the same as its rows."""
+    if eigs.ndim == 2:
+        return np.array([_function_values(row, f) for row in eigs]).reshape(eigs.shape)
     with np.errstate(all="ignore"):
         try:
             vals = np.asarray(f(eigs))
@@ -337,26 +343,17 @@ def _function_values(eigs: np.ndarray, f) -> np.ndarray:
     return vals
 
 
-def _spectral_stack(dec: EigenDecomposition, f) -> np.ndarray:
-    """f of each matrix of a stack, from the stack's decomposition: ``f`` is
-    applied one spectrum at a time, as for a single matrix, because a
-    vectorized scalar function need not round a whole stack the same as its
-    rows; the assembly is one batched call."""
-    vals = np.array([_function_values(eigs, f) for eigs in dec.eigenvalues])
-    return _assemble(dec.unitary, vals.reshape(dec.eigenvalues.shape))
-
-
 def _gated_exp_stack(logs: np.ndarray) -> tuple[np.ndarray, EigenDecomposition,
                                                  ValueError | None]:
-    """``SpdMatrix(mat_exp(H_k))`` for each H_k of a Hermitian stack, each
-    step one batched call over the stack but exp, which runs one spectrum at
-    a time as in ``mat_exp``.
+    """``exp(H_k)`` through the SPD gate for each H_k of a Hermitian stack:
+    the one gated exponential, each step one batched call over the stack but
+    exp, which runs one spectrum at a time as in ``mat_exp``.
 
     Returns the arrays and gate decompositions of the leading matrices that
     pass exp's checks and the SPD gate, and the error of the first matrix
-    that fails (None when none does).  The error is returned, not raised, so
-    that a caller running later steps on the kept matrices raises their
-    errors first, as a loop over the matrices would.
+    that fails (None when none does), as a loop over the matrices would
+    raise it.  The error is returned, not raised, so that a caller running
+    later steps on the kept matrices can raise their errors first.
     """
     dec = _eigh_array(logs)
     values, error = [], None

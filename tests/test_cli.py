@@ -99,6 +99,9 @@ def test_invalid_flag_values_are_usage_errors(capsys):
     assert main(["gap-study", "--eps-grid", "0.1,0.2"]) == 2
     assert main(["gap-study", "--eps-grid", "0,1,inf"]) == 2
     assert main(["verify", "--ensemble", "near_commuting", "--eps-grid", "-1"]) == 2
+    assert main(["verify", "--ensemble", "near_commuting", "--eps-grid", "inf",
+                 "--dim", "3", "--samples", "1"]) == 2
+    assert main(["scan", "--ensemble", "near_commuting", "--eps-grid", "0,nan"]) == 2
     capsys.readouterr()
     assert main(["verify", "--ensemble", "generic", "--eps-grid", "-1"]) == 2
     err = capsys.readouterr().err

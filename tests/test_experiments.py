@@ -1,6 +1,7 @@
 """Tests for ensembles, campaign determinism, gap scans, and CSV output."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from spdfinsler import (
 from spdfinsler.experiments import (
     CHECKERS,
     CSV_COLUMNS,
+    _gated_exp,
     _unit_direction,
     gap_scan,
     render_csv,
@@ -43,7 +45,7 @@ class TestSampleConfig:
             SampleConfig(dim=2, spread=0.0)
         with pytest.raises(ValueError, match="ensemble"):
             SampleConfig(dim=2, ensemble="bogus")
-        for epsilon in (-0.1, math.nan):
+        for epsilon in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="epsilon"):
                 SampleConfig(dim=2, epsilon=epsilon)
 
@@ -114,6 +116,24 @@ class TestEnsembles:
         assert defects[0] <= 1e-12
         assert defects[1] > 1e-4
         assert defects[2] > defects[1]
+
+    @pytest.mark.parametrize("rows, error, match", [
+        (["ok", "overflow", "gate"], MatrixFunctionDomainError, "non-finite"),
+        (["gate", "overflow"], ValueError, "not safely positive definite"),
+    ])
+    def test_sampled_exp_raises_first_failing_matrix(self, rows, error, match):
+        # One batched exp and gate raise what a per-matrix loop raises first.
+        logs = {"ok": np.zeros(3), "overflow": np.array([800.0, 0.0, 0.0]),
+                "gate": np.array([0.0, 0.0, -30.0])}
+        stack = [np.diag(logs[row]).astype(np.complex128) for row in rows]
+        for h in stack:
+            try:
+                SpdMatrix(mat_exp(h))
+            except ValueError as exc:
+                assert isinstance(exc, error) and re.search(match, str(exc))
+                break
+        with pytest.raises(error, match=match):
+            _gated_exp(stack)
 
     def test_spread_scales_samples(self):
         small = sample_bundle(SampleConfig(dim=3, spread=0.1, seed=6), 0).a
@@ -188,9 +208,17 @@ class TestRunCampaign:
 
     def test_kernel_call_budget(self, kernel_calls):
         # Derived matrices cost no gate eigh; a check brought back fails here.
-        run_campaign(SampleConfig(dim=3), ALL_INEQUALITIES, P_GRID, 2)
-        assert kernel_calls == {"eigh": 60, "eigvalsh": 24, "svd": 10,
-                                "eigh_matrices": 60, "eigvalsh_matrices": 24, "svd_matrices": 10}
+        # Sampled exps and the triple family's (A, C), (A, B) sandwiches are
+        # stacked, so calls fall below the matrices decomposed; near_commuting
+        # B_eps and C pass exp and the SPD gate in one batched call each.
+        for config, eigh_calls in ((SampleConfig(dim=3), 52),
+                                   (SampleConfig(dim=3, ensemble="near_commuting",
+                                                 epsilon=0.1), 56)):
+            kernel_calls.update(dict.fromkeys(kernel_calls, 0))
+            run_campaign(config, ALL_INEQUALITIES, P_GRID, 2)
+            assert kernel_calls == {"eigh": eigh_calls, "eigvalsh": 22, "svd": 10,
+                                    "eigh_matrices": 60, "eigvalsh_matrices": 24,
+                                    "svd_matrices": 10}
 
     def test_tolerance_override(self):
         config = SampleConfig(dim=2, seed=16)
@@ -240,10 +268,11 @@ class TestGapScan:
         two = gap_scan(a, b, [0.0, 0.5], 1.5, seed=3)
         assert render_csv(one) == render_csv(two)
 
-    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
     def test_stacked_ray_matches_per_point_path(self, dim, p):
-        # Each row equals the public checker on the point exp(log B + eps K).
+        # Each row equals the public checker on the point exp(log B + eps K),
+        # and its batched commutator defect equals commutator_defect there.
         bundle = sample_bundle(SampleConfig(dim=dim, ensemble="commuting_pair", seed=dim), 0)
         a, b = bundle.a, bundle.b
         grid = [0.0, 0.1, 0.25, 0.5, 1.0]

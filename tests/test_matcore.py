@@ -22,6 +22,7 @@ from spdfinsler import (
     mat_pow,
     mat_sqrt,
 )
+from spdfinsler.geodesic import _sandwich_log_eigs
 from spdfinsler.matcore import _assemble, _eigh_array, _hermitian_part
 
 from conftest import make_rng, random_hermitian, random_spd
@@ -119,6 +120,13 @@ class TestEigh:
             assert np.array_equal(dec.eigenvalues[k], one.eigenvalues)
             assert np.array_equal(dec.unitary[k], one.unitary)
             assert np.array_equal(rebuilt[k], _assemble(one.unitary, one.eigenvalues))
+        # So does the stacked sandwich spectrum; its row equal to A is exactly 0.
+        spd = _hermitian_part(raw @ raw.conj().mT) + np.eye(dim)
+        a = SpdMatrix(spd[0])
+        logs = _sandwich_log_eigs(a, spd)
+        assert logs.shape == (11, dim) and not logs[0].any()
+        for k in range(1, 11):
+            assert np.array_equal(logs[k], _sandwich_log_eigs(a, SpdMatrix(spd[k])))
 
     def test_returns_eigendecomposition(self):
         assert isinstance(eigh(identity(2)), EigenDecomposition)
