@@ -175,6 +175,8 @@ def _validate_flags(args) -> None:
                 or not all(a < b for a, b in zip(grid, grid[1:]))):
             raise CheckerRangeError(
                 f"--eps-grid must start at 0 and strictly ascend to a finite value, got {grid}")
+    elif args.tol is not None and not math.isfinite(args.tol):
+        raise CheckerRangeError(f"--tol must be finite, got {args.tol}")
     elif args.ensemble != "near_commuting" and grid != [0.0]:
         raise CheckerRangeError(
             f"--eps-grid applies only to --ensemble near_commuting, got {grid}")

@@ -20,6 +20,7 @@ from .matcore import (
     HermitianMatrix,
     SpdMatrix,
     _assemble,
+    _eigh_array,
     _function_values,
     _gated_exp_stack,
     _hermitian_part,
@@ -150,19 +151,24 @@ def _random_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:
     )
 
 
-def _from_basis(basis: np.ndarray, log_values: np.ndarray) -> tuple[SpdMatrix, HermitianMatrix]:
-    """SPD matrix with prescribed eigenbasis and log-spectrum, plus its exact log."""
-    spd = SpdMatrix(_assemble(basis, np.exp(log_values)))
-    return spd, HermitianMatrix._adopt(_assemble(basis, log_values))
+def _gated(bases, log_spectra) -> list[SpdMatrix]:
+    """exp of each (basis, log-spectrum) pair, gated in one batched
+    ``_gated_exp_stack`` call and adopted with its gate decomposition."""
+    arrays, gate = _gated_exp_stack(np.asarray(bases), np.asarray(log_spectra))
+    return [SpdMatrix._adopt(arrays[k], dec=gate[k]) for k in range(len(arrays))]
 
 
 def _gated_exp(logs: list[np.ndarray]) -> list[SpdMatrix]:
-    """exp of each Hermitian array, through the SPD gate in one batched
-    ``_gated_exp_stack`` call; the first failing matrix's error is raised."""
-    arrays, gate, error = _gated_exp_stack(np.array(logs))
-    if error is not None:
-        raise error
-    return [SpdMatrix._adopt(arrays[k], dec=gate[k]) for k in range(len(logs))]
+    """exp of each Hermitian array, through the SPD gate in one batched call."""
+    dec = _eigh_array(np.array(logs))
+    return _gated(dec.unitary, dec.eigenvalues)
+
+
+def _from_basis(basis: np.ndarray, log_spectra) -> tuple[list[SpdMatrix], list[HermitianMatrix]]:
+    """SPD matrices with one prescribed eigenbasis and the given
+    log-spectra, gated in one batched call, plus their exact logs."""
+    logs = [HermitianMatrix._adopt(_assemble(basis, values)) for values in log_spectra]
+    return _gated([basis] * len(log_spectra), log_spectra), logs
 
 
 def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
@@ -174,6 +180,9 @@ def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
     rng = _rng_for(config, index)
     dim, sigma = config.dim, config.spread
 
+    def log_spectra(count: int) -> list[np.ndarray]:
+        return [sigma * rng.standard_normal(dim) for _ in range(count)]
+
     if config.ensemble == "generic":
         h1 = _random_hermitian(rng, dim, sigma)
         h2 = _random_hermitian(rng, dim, sigma)
@@ -183,29 +192,24 @@ def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
 
     if config.ensemble == "commuting_pair":
         basis = _random_unitary(rng, dim)
-        a, log_a = _from_basis(basis, sigma * rng.standard_normal(dim))
-        b, log_b = _from_basis(basis, sigma * rng.standard_normal(dim))
+        (a, b), logs = _from_basis(basis, log_spectra(2))
         h3 = _random_hermitian(rng, dim, sigma)
-        return SampleBundle(a, b, *_gated_exp([h3.array]), log_a, log_b)
+        return SampleBundle(a, b, *_gated_exp([h3.array]), *logs)
 
     if config.ensemble == "commuting_triple":
         basis = _random_unitary(rng, dim)
-        a, log_a = _from_basis(basis, sigma * rng.standard_normal(dim))
-        b, log_b = _from_basis(basis, sigma * rng.standard_normal(dim))
-        c, _ = _from_basis(basis, sigma * rng.standard_normal(dim))
-        return SampleBundle(a, b, c, log_a, log_b)
+        (a, b, c), logs = _from_basis(basis, log_spectra(3))
+        return SampleBundle(a, b, c, *logs[:2])
 
     if config.ensemble == "gamma_commuting_triple":
         x = _random_invertible(rng, dim)
-        spectra = [sigma * rng.standard_normal(dim) for _ in range(3)]
-        mats = [SpdMatrix(_assemble(x, np.exp(log_values))) for log_values in spectra]
-        return SampleBundle(mats[0], mats[1], mats[2], mat_log(mats[0]), mat_log(mats[1]))
+        a, b, c = _gated([x] * 3, log_spectra(3))
+        return SampleBundle(a, b, c, mat_log(a), mat_log(b))
 
     # near_commuting: commuting base pair, then B perturbed along a unit
     # Hermitian direction with magnitude config.epsilon.
     basis = _random_unitary(rng, dim)
-    a, log_a = _from_basis(basis, sigma * rng.standard_normal(dim))
-    b, log_b = _from_basis(basis, sigma * rng.standard_normal(dim))
+    (a, b), (log_a, log_b) = _from_basis(basis, log_spectra(2))
     direction = _unit_direction(rng, dim)
     h3 = _random_hermitian(rng, dim, sigma)
     if config.epsilon == 0.0:
@@ -331,16 +335,12 @@ def gap_scan(A: SpdMatrix, B: SpdMatrix, eps_grid: Sequence[float], p, *,
     _matching(A, B)
     direction = _unit_direction(np.random.default_rng(mix_seed(seed, 0)), A.dim)
     log_b = mat_log(B).array
-    arrays, gate, error = _gated_exp_stack(
-        log_b + np.array(grid[1:])[:, None, None] * direction.array)
+    ray = _eigh_array(log_b + np.array(grid[1:])[:, None, None] * direction.array)
+    arrays, gate = _gated_exp_stack(ray.unitary, ray.eigenvalues)
     points = np.concatenate([B.array[None], arrays])
     logs = np.concatenate([log_b[None], _assemble(
         gate.unitary, _function_values(gate.eigenvalues, np.log))])
-    # A sandwich that lost positivity at a kept point raises before the
-    # first failing point's error, as a loop over the points would.
     spectra = _distance_spectra(A, points, logs)
-    if error is not None:
-        raise error
     defects = [float(np.linalg.norm(m)) for m in A.array @ points - points @ A.array]
     families = [(dict(zip(spectra, values)), defect)
                 for values, defect in zip(zip(*spectra.values()), defects)]

@@ -18,12 +18,12 @@ from typing import Callable, Union
 import numpy as np
 
 from .matcore import (
-    _LOST_POSITIVITY,
     HermitianMatrix,
     SpdMatrix,
     _assemble,
     _hermitian_part,
     _matching,
+    _require_positive,
     commutator_defect,
     mat_log,
     mat_pow,
@@ -60,26 +60,19 @@ def _sandwich_log_eigs(A: SpdMatrix, B) -> np.ndarray:
     """log of the eigenvalues of A^{-1/2} B A^{-1/2}, descending, for one SPD
     matrix B or, row by row, for each matrix of a ``(k, d, d)`` stack.
 
-    One eigvalsh serves the whole stack; log runs one spectrum at a time.  A
-    matrix equal to A gives the exact zero spectrum, so delta_p(A, A) is
-    exactly 0 rather than the roundoff of the sandwich.
+    One eigvalsh and one positivity check serve the whole stack, raising if
+    a sandwich lost positivity; log runs one spectrum at a time.  A matrix
+    equal to A gives the exact zero spectrum, so delta_p(A, A) is exactly 0
+    rather than the roundoff of the sandwich.
     """
     Aa, Ba = _matching(A, B, stack=True)
     equal = (Ba == Aa).reshape(-1, Aa.size).all(axis=1).tolist()
     if all(equal):
         return np.zeros(Ba.shape[:-1])
-    w = np.linalg.eigvalsh(_congruence(mat_pow(A, -0.5).array, Ba))
-    logs = [np.zeros(A.dim) if same else _log_descending(row)
-            for same, row in zip(equal, w.reshape(-1, A.dim))]
+    w = np.linalg.eigvalsh(_congruence(mat_pow(A, -0.5).array, Ba)).reshape(-1, A.dim)
+    _require_positive(w[np.logical_not(equal)])
+    logs = [np.zeros(A.dim) if same else np.log(row[::-1]) for same, row in zip(equal, w)]
     return logs[0] if Ba.ndim == 2 else np.array(logs)
-
-
-def _log_descending(w: np.ndarray) -> np.ndarray:
-    """log of an ascending sandwich spectrum, descending; raises if the
-    sandwich lost positivity."""
-    if w[0] <= 0.0:
-        raise ValueError(_LOST_POSITIVITY)
-    return np.log(w[::-1])
 
 
 def _log_euclidean_eigs(A: SpdMatrix, log_B: np.ndarray) -> np.ndarray:
@@ -103,8 +96,7 @@ class GeodesicCurve:
         _, Ba = _matching(A, B)
         self._sqrt_a = mat_pow(A, 0.5).array
         self._mid = HermitianMatrix._adopt(_congruence(mat_pow(A, -0.5).array, Ba))
-        if not self._mid.eig().eigenvalues[-1] > 0.0:
-            raise ValueError(_LOST_POSITIVITY)
+        _require_positive(self._mid.eig().eigenvalues)
 
     @property
     def log_m(self) -> HermitianMatrix:

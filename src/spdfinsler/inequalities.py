@@ -203,12 +203,6 @@ def _triple_spectra(A: SpdMatrix, B: SpdMatrix, C: SpdMatrix) -> dict[str, np.nd
 def _sphere_spectra(A: SpdMatrix, B: SpdMatrix, p: float) -> dict[str, np.ndarray]:
     """The "sphere" family at order p: log-spectra behind delta_p(A#B, I) and
     delta_p(A, B), for A and B on the exponential unit sphere of order p."""
-    for label, U in (("A", A), ("B", B)):
-        if not on_unit_sphere(U, p, SPHERE_TOL):
-            raise ValueError(
-                f"{label} is off the exponential unit sphere of order {p} by more than "
-                f"{SPHERE_TOL:.0e} (delta_p to identity = {delta_p_to_identity(U, p):.12g})"
-            )
     return {
         "d_mid_identity": np.log(geometric_mean(A, B).eig().eigenvalues),
         "d_ab": _sandwich_log_eigs(A, B),
@@ -310,7 +304,7 @@ CHECKERS: dict[str, Checker] = {
 }
 
 
-def _gate(name: str, p) -> float:
+def _checked_order(name: str, p) -> float:
     p = float(p)
     p_range = CHECKERS[name].p_range
     if p not in p_range:
@@ -319,7 +313,7 @@ def _gate(name: str, p) -> float:
 
 
 def _check_triple(name: str, A: SpdMatrix, B: SpdMatrix, C: SpdMatrix, p) -> InequalityReport:
-    p = _gate(name, p)
+    p = _checked_order(name, p)
     (report,) = CHECKERS[name].evaluate(_triple_spectra(A, B, C), p)
     gamma = gamma_commute(A, B, C)
     report.diagnostics.update(gamma_defect_product=gamma.defect_product,
@@ -328,7 +322,13 @@ def _check_triple(name: str, A: SpdMatrix, B: SpdMatrix, C: SpdMatrix, p) -> Ine
 
 
 def _check_sphere(name: str, A: SpdMatrix, B: SpdMatrix, p) -> InequalityReport:
-    p = _gate(name, p)
+    p = _checked_order(name, p)
+    for label, U in (("A", A), ("B", B)):
+        if not on_unit_sphere(U, p, SPHERE_TOL):
+            raise ValueError(
+                f"{label} is off the exponential unit sphere of order {p} by more than "
+                f"{SPHERE_TOL:.0e} (delta_p to identity = {delta_p_to_identity(U, p):.12g})"
+            )
     (report,) = CHECKERS[name].evaluate(_sphere_spectra(A, B, p), p)
     return report
 
@@ -340,7 +340,7 @@ def check_clarkson_mccarthy(X, Y, p) -> tuple[InequalityReport, InequalityReport
     by 2^{p-1}(||X||^p + ||Y||^p); both bounds reverse for 1 <= p <= 2.
     Returns (lower_report, upper_report).
     """
-    p = _gate("clarkson_mccarthy", p)
+    p = _checked_order("clarkson_mccarthy", p)
     return CHECKERS["clarkson_mccarthy"].evaluate(_pair_spectra(X, Y), p)
 
 
@@ -349,7 +349,7 @@ def check_two_uniform_convexity_norm(X, Y, p) -> InequalityReport:
 
     (||X+Y||_p^2 + ||X-Y||_p^2) / 2  >=  ||X||_p^2 + (p-1) ||Y||_p^2.
     """
-    p = _gate("two_uniform_convexity", p)
+    p = _checked_order("two_uniform_convexity", p)
     (report,) = CHECKERS["two_uniform_convexity"].evaluate(_pair_spectra(X, Y), p)
     return report
 

@@ -34,7 +34,7 @@ __all__ = [
 
 # Absolute Hermiticity tolerance, relative to the largest entry magnitude.
 HERMITICITY_RTOL = 1e-12
-# Constructor gate: lambda_min must exceed this fraction of lambda_max.
+# SPD gate (_gate): lambda_min must exceed this fraction of lambda_max.
 SPD_EIGENVALUE_FLOOR = 1e-10
 # Conjugation rejects X whose 2-norm condition estimate reaches this.
 CONDITION_LIMIT = 1e12
@@ -121,12 +121,13 @@ class HermitianMatrix:
                dec: "EigenDecomposition | None" = None):
         """Wrap, unchecked, an array the package built exactly Hermitian: an
         ``_assemble``, ``_congruence`` or ``_hermitian_part`` result, or a real
-        multiple or sum of such arrays.  An SpdMatrix adopted here is derived,
-        the spectrum ``values`` taken through a congruence; its condition can
-        reach the product of its sources' (kappa(A) kappa(B) for a geodesic
-        point), so it is checked for ``0 < values < inf`` only, not gated.
-        ``dec``, when given, is the array's decomposition (from a batched
-        gate, say): it is cached, and supplies the values.
+        multiple or sum of such arrays.  An SpdMatrix adopted with spectral
+        ``values`` is derived, the spectrum taken through a congruence; its
+        condition can reach the product of its sources' (kappa(A) kappa(B)
+        for a geodesic point), so it is checked for ``0 < values < inf``
+        only, not gated.  ``dec``, when given, is the array's decomposition
+        (from the batched gate of a sample): it is cached, and supplies the
+        values.
         """
         if cls is SpdMatrix:
             _require_positive(values if dec is None else dec.eigenvalues)
@@ -180,40 +181,41 @@ class HermitianMatrix:
 class SpdMatrix(HermitianMatrix):
     """Hermitian matrix verified strictly positive definite at construction.
 
-    This is the SPD gate, run on user-supplied and sampled matrices: it
-    requires ``lambda_min > 1e-10 * lambda_max``, rejecting ill-conditioned
-    inputs rather than regularizing them; the gate's eigendecomposition is
-    cached for the spectral functions.  Derived results (``mat_exp``,
-    ``mat_pow``, geodesic points) are checked for positivity only, so their
-    condition may exceed 1e10.  Arithmetic returns a HermitianMatrix.
+    The constructor runs the SPD gate ``_gate`` on caller input (sampled
+    matrices pass it in batched calls): ``lambda_min > 1e-10 * lambda_max``,
+    rejecting ill-conditioned inputs rather than regularizing them; the
+    gate's eigendecomposition is cached for the spectral functions.  Derived
+    results (``mat_exp``, ``mat_pow``, geodesic points) are checked for
+    positivity only, so their condition may exceed 1e10.  Arithmetic
+    returns a HermitianMatrix.
     """
 
     __slots__ = ()
 
     def __init__(self, entries):
         super().__init__(entries)
-        values = self.eig().eigenvalues
-        lam_max, lam_min = float(values[0]), float(values[-1])
-        if not _passes_gate(lam_max, lam_min):
-            raise _gate_error(lam_max, lam_min)
+        self._eig[0] = _gate(self._array)
 
 
-def _passes_gate(lam_max, lam_min):
-    """The SPD gate lambda_min > 1e-10 * lambda_max, on floats or on arrays
-    of them (one pair per matrix of a stack)."""
-    return (lam_max > 0.0) & (lam_min > SPD_EIGENVALUE_FLOOR * lam_max)
-
-
-def _gate_error(lam_max: float, lam_min: float) -> ValueError:
-    """The error for a matrix that fails the SPD gate."""
-    return ValueError(
-        f"matrix is not safely positive definite: lambda_min = {lam_min:.6e}, "
-        f"lambda_max = {lam_max:.6e} (gate: lambda_min > 1e-10 * lambda_max)"
-    )
+def _gate(arrays: np.ndarray) -> "EigenDecomposition":
+    """The SPD gate lambda_min > 1e-10 * lambda_max on one Hermitian array or
+    on each matrix of a stack, from one batched eigh.  Returns the
+    decomposition, or raises the first failing matrix's error, as a
+    per-matrix loop would."""
+    dec = _eigh_array(arrays)
+    lam = dec.eigenvalues.reshape(-1, arrays.shape[-1])
+    passed = (lam[:, 0] > 0.0) & (lam[:, -1] > SPD_EIGENVALUE_FLOOR * lam[:, 0])
+    if not passed.all():
+        lam_max, lam_min = lam[np.argmin(passed)][[0, -1]]
+        raise ValueError(
+            f"matrix is not safely positive definite: lambda_min = {lam_min:.6e}, "
+            f"lambda_max = {lam_max:.6e} (gate: lambda_min > 1e-10 * lambda_max)"
+        )
+    return dec
 
 
 def _require_positive(values: np.ndarray) -> np.ndarray:
-    """The spectral values of a derived SPD matrix, checked 0 < values < inf."""
+    """Spectral values checked 0 < values < inf: the one positivity test."""
     if not (values.min() > 0.0 and values.max() < np.inf):
         raise ValueError(_LOST_POSITIVITY)
     return values
@@ -343,35 +345,28 @@ def _function_values(eigs: np.ndarray, f) -> np.ndarray:
     return vals
 
 
-def _gated_exp_stack(logs: np.ndarray) -> tuple[np.ndarray, EigenDecomposition,
-                                                 ValueError | None]:
-    """``exp(H_k)`` through the SPD gate for each H_k of a Hermitian stack:
-    the one gated exponential, each step one batched call over the stack but
-    exp, which runs one spectrum at a time as in ``mat_exp``.
-
-    Returns the arrays and gate decompositions of the leading matrices that
-    pass exp's checks and the SPD gate, and the error of the first matrix
-    that fails (None when none does), as a loop over the matrices would
-    raise it.  The error is returned, not raised, so that a caller running
-    later steps on the kept matrices can raise their errors first.
+def _gated_exp_stack(bases, log_spectra) -> tuple[np.ndarray, EigenDecomposition]:
+    """``U_k diag(exp(l_k)) U_k^H`` through the SPD gate for each basis U_k
+    of a stack and log-spectrum row l_k: the one gated exponential, exp
+    running one spectrum at a time as in ``mat_exp`` and every other step
+    one batched call over the stack.  Returns the arrays and their gate
+    decompositions; raises the error of the first matrix whose exp is not
+    finite and positive or that fails the gate, as a loop over the matrices
+    would.
     """
-    dec = _eigh_array(logs)
     values, error = [], None
-    for eigs in dec.eigenvalues:
+    for row in log_spectra:
         try:
-            values.append(_require_positive(_function_values(eigs, np.exp)))
+            values.append(_require_positive(_function_values(row, np.exp)))
         except ValueError as exc:
             error = exc
             break
     count = len(values)
-    arrays = _assemble(dec.unitary[:count], np.reshape(values, (count, logs.shape[-1])))
-    gate = _eigh_array(arrays)
-    lam_max, lam_min = gate.eigenvalues[:, 0], gate.eigenvalues[:, -1]
-    passed = _passes_gate(lam_max, lam_min)
-    if not passed.all():
-        count = int(np.argmin(passed))
-        error = _gate_error(lam_max[count], lam_min[count])
-    return arrays[:count], gate[:count], error
+    arrays = _assemble(bases[:count], np.reshape(values, (count, bases.shape[-1])))
+    gate = _gate(arrays)
+    if error is not None:
+        raise error
+    return arrays, gate
 
 
 def mat_log(A) -> HermitianMatrix:

@@ -73,6 +73,21 @@ def kernel_calls(monkeypatch) -> dict[str, int]:
 
 
 @pytest.fixture
+def spd_constructions(monkeypatch) -> dict[str, int]:
+    """Live count, under "calls", of the SpdMatrix constructor calls made
+    during the test: the SPD gate that runs on caller input."""
+    counts = {"calls": 0}
+    init = SpdMatrix.__init__
+
+    def counted(self, entries):
+        counts["calls"] += 1
+        init(self, entries)
+
+    monkeypatch.setattr(SpdMatrix, "__init__", counted)
+    return counts
+
+
+@pytest.fixture
 def witness_pair() -> tuple[SpdMatrix, SpdMatrix]:
     """The fixed noncommuting pair used for strictness checks."""
     return SpdMatrix([[2.0, 1.0], [1.0, 2.0]]), SpdMatrix(np.diag([1.0, 4.0]))

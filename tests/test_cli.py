@@ -92,6 +92,10 @@ def test_invalid_flag_values_are_usage_errors(capsys):
     assert main(["verify", "--samples=-3"]) == 2
     assert main(["verify", "--p", "", "--samples", "1"]) == 2
     assert main(["verify", "--seed=-1", "--samples", "1"]) == 2
+    for tol in ("inf", "nan", "-inf"):
+        assert main(["verify", "--dim", "2", "--samples", "2", "--p", "2",
+                     "--ineq", "distance_lower_bound", f"--tol={tol}"]) == 2
+        assert "--tol must be finite" in capsys.readouterr().err
     capsys.readouterr()
     assert main(["gap-study", "--p", "0.5"]) == 2
     assert capsys.readouterr().err.startswith("usage: spdfinsler gap-study ")

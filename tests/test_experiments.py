@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spdfinsler import (
+    ENSEMBLES,
     CheckerRangeError,
     MatrixFunctionDomainError,
     SampleConfig,
@@ -18,10 +19,13 @@ from spdfinsler import (
     mat_exp,
     mat_log,
     mix_seed,
+    on_unit_sphere,
+    project_to_unit_sphere,
 )
 from spdfinsler.experiments import (
     CHECKERS,
     CSV_COLUMNS,
+    _from_basis,
     _gated_exp,
     _unit_direction,
     gap_scan,
@@ -31,7 +35,7 @@ from spdfinsler.experiments import (
     write_csv,
 )
 
-from conftest import make_rng, random_spd
+from conftest import make_rng, random_spd, random_unitary
 
 ALL_INEQUALITIES = sorted(CHECKERS)
 P_GRID = [1.1, 1.5, 2.0, 3.0, 4.0]
@@ -134,6 +138,30 @@ class TestEnsembles:
                 break
         with pytest.raises(error, match=match):
             _gated_exp(stack)
+        with pytest.raises(error, match=match):
+            _from_basis(random_unitary(make_rng(7), 3), [logs[row] for row in rows])
+
+    def test_sampled_matrices_skip_the_constructor(self, spd_constructions):
+        # Sampled matrices and ray points pass the SPD gate in batched calls;
+        # the SpdMatrix constructor runs on caller input only.
+        for ensemble in ENSEMBLES:
+            config = SampleConfig(dim=3, ensemble=ensemble, seed=9, epsilon=0.1)
+            run_campaign(config, ALL_INEQUALITIES, P_GRID, 2)
+        bundle = sample_bundle(SampleConfig(dim=3, ensemble="commuting_pair", seed=9), 0)
+        gap_scan(bundle.a, bundle.b, [0.0, 0.5, 1.0], 2.0, seed=9)
+        assert spd_constructions["calls"] == 0
+
+    @pytest.mark.parametrize("dim, count", [(2, 20), (3, 20), (5, 20), (16, 5), (32, 5)])
+    def test_campaign_projections_stay_on_sphere(self, dim, count):
+        # The sphere family trusts its projections unchecked: they lie on the
+        # sphere far inside the 1e-8 the public sphere checkers require.
+        for ensemble in ENSEMBLES:
+            config = SampleConfig(dim=dim, ensemble=ensemble, seed=dim, epsilon=0.5)
+            for i in range(count):
+                bundle = sample_bundle(config, i)
+                for x in (bundle.a, bundle.b):
+                    for p in P_GRID:
+                        assert on_unit_sphere(project_to_unit_sphere(x, p), p, tol=1e-12)
 
     def test_spread_scales_samples(self):
         small = sample_bundle(SampleConfig(dim=3, spread=0.1, seed=6), 0).a
@@ -208,16 +236,18 @@ class TestRunCampaign:
 
     def test_kernel_call_budget(self, kernel_calls):
         # Derived matrices cost no gate eigh; a check brought back fails here.
-        # Sampled exps and the triple family's (A, C), (A, B) sandwiches are
-        # stacked, so calls fall below the matrices decomposed; near_commuting
-        # B_eps and C pass exp and the SPD gate in one batched call each.
-        for config, eigh_calls in ((SampleConfig(dim=3), 52),
-                                   (SampleConfig(dim=3, ensemble="near_commuting",
-                                                 epsilon=0.1), 56)):
+        # Each sample's matrices pass exp and the SPD gate in batched calls
+        # (generic a, b, c; near_commuting a, b, then B_eps, C; the Gamma
+        # triple's three), and the triple family's (A, C), (A, B) sandwiches
+        # are stacked, so calls fall below the matrices decomposed.
+        for config, eigh_calls, eigh_matrices in (
+                (SampleConfig(dim=3), 42, 50),
+                (SampleConfig(dim=3, ensemble="near_commuting", epsilon=0.1), 44, 50),
+                (SampleConfig(dim=3, ensemble="gamma_commuting_triple"), 40, 44)):
             kernel_calls.update(dict.fromkeys(kernel_calls, 0))
             run_campaign(config, ALL_INEQUALITIES, P_GRID, 2)
             assert kernel_calls == {"eigh": eigh_calls, "eigvalsh": 22, "svd": 10,
-                                    "eigh_matrices": 60, "eigvalsh_matrices": 24,
+                                    "eigh_matrices": eigh_matrices, "eigvalsh_matrices": 24,
                                     "svd_matrices": 10}
 
     def test_tolerance_override(self):

@@ -239,6 +239,13 @@ class TestSphereForms:
         a = SpdMatrix(np.diag([np.exp(2.0), np.exp(-2.0)]))
         with pytest.raises(ValueError, match="sphere"):
             check_sphere_2uc(a, a, 1.5)
+        for p, check in ((1.5, check_sphere_2uc), (3.0, check_sphere_high),
+                         (1.5, check_sphere_low)):
+            on = project_to_unit_sphere(a, p)
+            with pytest.raises(ValueError, match="^A is off the exponential unit sphere"):
+                check(a, on, p)
+            with pytest.raises(ValueError, match="^B is off the exponential unit sphere"):
+                check(on, a, p)
 
     def test_sphere_high_and_low_random(self):
         rng = make_rng(15)

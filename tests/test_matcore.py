@@ -22,7 +22,7 @@ from spdfinsler import (
     mat_pow,
     mat_sqrt,
 )
-from spdfinsler.geodesic import _sandwich_log_eigs
+from spdfinsler.geodesic import GeodesicCurve, _sandwich_log_eigs
 from spdfinsler.matcore import _assemble, _eigh_array, _hermitian_part
 
 from conftest import make_rng, random_hermitian, random_spd
@@ -206,6 +206,17 @@ class TestDerivedMatrices:
         kernel_calls["eigh"] = 0
         mat_pow(a, 2.0)
         assert kernel_calls["eigh"] == 0
+
+    def test_lost_positivity_is_one_error(self):
+        # Adopted SPD results, the geodesic's sandwich and delta_p's stacked
+        # sandwich spectra share one positivity test and its message; a
+        # stack row equal to A stays exact and is not tested.
+        indefinite = np.diag([1.0, -1.0]).astype(np.complex128)
+        for derive in (lambda: SpdMatrix._adopt(indefinite, np.array([1.0, -1.0])),
+                       lambda: GeodesicCurve(identity(2), indefinite),
+                       lambda: _sandwich_log_eigs(identity(2), np.array([np.eye(2), indefinite]))):
+            with pytest.raises(ValueError, match="derived matrix lost positivity"):
+                derive()
 
     def test_condition_not_gated(self):
         square = mat_pow(SpdMatrix(np.diag([1.0, 1e-6])), 2.0)
