@@ -71,6 +71,7 @@ from .experiments import (
     RNG_IDENTITY,
     SampleConfig,
     ScanRecord,
+    ScanTable,
     gap_scan,
     mix_seed,
     run_campaign,

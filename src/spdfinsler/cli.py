@@ -16,10 +16,10 @@ from .experiments import (
     ENSEMBLES,
     RNG_IDENTITY,
     SampleConfig,
-    gap_scan,
+    ScanTable,
+    _gap_study,
     mix_seed,
     run_campaign,
-    sample_bundle,
     write_csv,
 )
 from .selftest import run_selftest
@@ -110,26 +110,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _campaign_records(args, ineqs: list[str]) -> list:
-    records = []
+def _campaign_table(args, ineqs: list[str]) -> ScanTable:
+    table = ScanTable()
     for dim in args.dim:
         for eps in args.eps_grid:
             config = SampleConfig(dim=dim, ensemble=args.ensemble,
                                   seed=mix_seed(args.seed, dim), epsilon=eps)
-            records.extend(run_campaign(config, ineqs, args.p, args.samples,
-                                        tol_rel=args.tol))
-    return records
+            table.extend(run_campaign(config, ineqs, args.p, args.samples, tol_rel=args.tol))
+    return table
 
 
-def _gap_records(args) -> list:
-    records = []
+def _gap_table(args) -> ScanTable:
+    table = ScanTable()
     for dim in args.dim:
         config = SampleConfig(dim=dim, ensemble="commuting_pair", seed=mix_seed(args.seed, dim))
-        for i in range(args.samples):
-            bundle = sample_bundle(config, i)
-            records.extend(gap_scan(bundle.a, bundle.b, args.eps_grid, args.p,
-                                    seed=mix_seed(config.seed, i)))
-    return records
+        table.extend(_gap_study(config, args.samples, args.eps_grid, args.p))
+    return table
 
 
 def _run(args) -> int:
@@ -149,10 +145,10 @@ def _run(args) -> int:
     comments.append(f"eps-grid: {','.join(repr(e) for e in args.eps_grid)}")
     if campaign:
         comments.append(f"tol: {'default' if args.tol is None else repr(args.tol)}")
-    records = _campaign_records(args, ineqs) if campaign else _gap_records(args)
-    write_csv(records, sys.stdout if args.out is None else args.out, comments)
-    bad = sum(1 for r in records if not r.satisfied)
-    print(f"{args.subcommand}: {len(records)} rows, {bad} unsatisfied", file=sys.stderr)
+    table = _campaign_table(args, ineqs) if campaign else _gap_table(args)
+    write_csv(table, sys.stdout if args.out is None else args.out, comments)
+    bad = table.columns["satisfied"].count(False)
+    print(f"{args.subcommand}: {len(table)} rows, {bad} unsatisfied", file=sys.stderr)
     return 1 if args.subcommand == "verify" and bad > 0 else 0
 
 

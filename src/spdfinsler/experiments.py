@@ -8,8 +8,8 @@ configuration produce byte-identical CSV files.
 
 from __future__ import annotations
 
-import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -17,22 +17,25 @@ from typing import Sequence
 import numpy as np
 
 from .matcore import (
+    EigenDecomposition,
     HermitianMatrix,
     SpdMatrix,
     _assemble,
+    _defects,
     _eigh_array,
-    _function_values,
     _gated_exp_stack,
     _hermitian_part,
     _matching,
-    commutator_defect,
-    mat_log,
+    _Stack,
 )
-from .geodesic import gamma_commute, project_to_unit_sphere
+from .geodesic import _gamma_defects, _project
 from .inequalities import (
     CHECKERS,
     CheckerRangeError,
     _distance_spectra,
+    _evaluate,
+    _inputs,
+    _lemma_spectra,
     _pair_spectra,
     _satisfied,
     _sphere_spectra,
@@ -44,6 +47,7 @@ __all__ = [
     "SampleConfig",
     "SampleBundle",
     "ScanRecord",
+    "ScanTable",
     "ENSEMBLES",
     "RNG_IDENTITY",
     "CSV_COLUMNS",
@@ -122,9 +126,9 @@ def _rng_for(config: SampleConfig, index: int) -> np.random.Generator:
     return np.random.default_rng(mix_seed(config.seed, index))
 
 
-def _random_hermitian(rng: np.random.Generator, dim: int, sigma: float) -> HermitianMatrix:
+def _random_hermitian(rng: np.random.Generator, dim: int, sigma: float) -> np.ndarray:
     g = sigma * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return HermitianMatrix._adopt(_hermitian_part(g))
+    return _hermitian_part(g)
 
 
 def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -136,7 +140,7 @@ def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _unit_direction(rng: np.random.Generator, dim: int) -> HermitianMatrix:
     """A random Hermitian direction of unit Frobenius norm."""
-    direction = _random_hermitian(rng, dim, 1.0)
+    direction = HermitianMatrix._adopt(_random_hermitian(rng, dim, 1.0))
     return HermitianMatrix._adopt(direction.array / direction.frobenius())
 
 
@@ -151,72 +155,92 @@ def _random_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:
     )
 
 
-def _gated(bases, log_spectra) -> list[SpdMatrix]:
-    """exp of each (basis, log-spectrum) pair, gated in one batched
-    ``_gated_exp_stack`` call and adopted with its gate decomposition."""
-    arrays, gate = _gated_exp_stack(np.asarray(bases), np.asarray(log_spectra))
-    return [SpdMatrix._adopt(arrays[k], dec=gate[k]) for k in range(len(arrays))]
+def _draw(config: SampleConfig, index: int) -> tuple:
+    """One sample's random ingredients, in its ensemble's fixed draw order:
+    Hermitian logs, a basis (unitary, or invertible for the Gamma triple)
+    with log-spectra, and the near_commuting direction."""
+    rng = _rng_for(config, index)
+    dim, sigma = config.dim, config.spread
+
+    def spectra(count: int) -> np.ndarray:
+        return np.array([sigma * rng.standard_normal(dim) for _ in range(count)])
+
+    def hermitian() -> np.ndarray:
+        return _random_hermitian(rng, dim, sigma)
+
+    if config.ensemble == "generic":
+        return hermitian(), hermitian(), hermitian()
+    if config.ensemble == "commuting_pair":
+        return _random_unitary(rng, dim), spectra(2), hermitian()
+    if config.ensemble == "commuting_triple":
+        return _random_unitary(rng, dim), spectra(3)
+    if config.ensemble == "gamma_commuting_triple":
+        return _random_invertible(rng, dim), spectra(3)
+    return _random_unitary(rng, dim), spectra(2), _unit_direction(rng, dim).array, hermitian()
 
 
-def _gated_exp(logs: list[np.ndarray]) -> list[SpdMatrix]:
-    """exp of each Hermitian array, through the SPD gate in one batched call."""
-    dec = _eigh_array(np.array(logs))
-    return _gated(dec.unitary, dec.eigenvalues)
+# Samples stacked one row each: the gated SPD triple (a, b, c ``_Stack``s)
+# and the Hermitian logs of (a, b).  A named tuple: a dataclass would add
+# about 1 ms to every import.
+_Samples = namedtuple("_Samples", "a b c log_a log_b")
 
 
-def _from_basis(basis: np.ndarray, log_spectra) -> tuple[list[SpdMatrix], list[HermitianMatrix]]:
-    """SPD matrices with one prescribed eigenbasis and the given
-    log-spectra, gated in one batched call, plus their exact logs."""
-    logs = [HermitianMatrix._adopt(_assemble(basis, values)) for values in log_spectra]
-    return _gated([basis] * len(log_spectra), log_spectra), logs
+def _gated(bases: np.ndarray, log_spectra: np.ndarray) -> list[_Stack]:
+    """exp of each sample's (basis, log-spectrum) rows, log-spectra
+    ``(n, roles, d)`` and their bases in the same order, through the SPD
+    gate in one batched call: one
+    stack per role, holding its gate decompositions.  The first failing
+    matrix in (sample, role) order raises."""
+    n, roles, dim = log_spectra.shape
+    arrays, gate = _gated_exp_stack(bases.reshape(-1, dim, dim), log_spectra.reshape(-1, dim))
+    return [_Stack(np.ascontiguousarray(arrays[k::roles]),
+                   EigenDecomposition(np.ascontiguousarray(gate.eigenvalues[k::roles]),
+                                      np.ascontiguousarray(gate.unitary[k::roles])))
+            for k in range(roles)]
+
+
+def _sample_stacks(config: SampleConfig, draws: list[tuple]) -> _Samples:
+    """The samples of ``draws`` (from ``_draw``), every step one batched
+    call over all of them: eigh of the drawn logs, exp and the SPD gate."""
+    columns = [np.array(column) for column in zip(*draws)]
+    if config.ensemble == "generic":
+        logs = np.stack(columns, axis=1)
+        dec = _eigh_array(logs.reshape(-1, config.dim, config.dim))
+        a, b, c = _gated(dec.unitary, dec.eigenvalues.reshape(logs.shape[:-1]))
+        return _Samples(a, b, c, columns[0], columns[1])
+    basis, spectra = columns[:2]
+    logs = [_assemble(basis, spectra[:, k]) for k in range(2)]
+    if config.ensemble in ("commuting_triple", "gamma_commuting_triple"):
+        a, b, c = _gated(np.repeat(basis[:, None], 3, axis=1), spectra)
+        if config.ensemble == "gamma_commuting_triple":
+            logs = [a.log(), b.log()]
+        return _Samples(a, b, c, *logs)
+    # commuting_pair, and near_commuting whose B is perturbed along its
+    # unit direction by epsilon: only the B it keeps is gated.
+    derived = [columns[-1]]
+    if config.ensemble == "near_commuting" and config.epsilon != 0.0:
+        logs[1] = logs[1] + config.epsilon * columns[2]
+        derived.insert(0, logs[1])
+    dec = _eigh_array(np.stack(derived, axis=1).reshape(-1, config.dim, config.dim))
+    count = len(derived)
+    bases = np.concatenate([np.repeat(basis[:, None], 3 - count, axis=1),
+                            dec.unitary.reshape(len(basis), count, config.dim, config.dim)], axis=1)
+    values = np.concatenate([spectra[:, :3 - count],
+                             dec.eigenvalues.reshape(len(basis), count, config.dim)], axis=1)
+    return _Samples(*_gated(bases, values), *logs)
 
 
 def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
     """Draw one sample (SPD triple plus logs) for the configured ensemble.
 
     Draw order within each ensemble is fixed, making samples a pure
-    function of (config, index).
+    function of (config, index).  A campaign builds the same samples in
+    batched calls; this is its one-sample case.
     """
-    rng = _rng_for(config, index)
-    dim, sigma = config.dim, config.spread
-
-    def log_spectra(count: int) -> list[np.ndarray]:
-        return [sigma * rng.standard_normal(dim) for _ in range(count)]
-
-    if config.ensemble == "generic":
-        h1 = _random_hermitian(rng, dim, sigma)
-        h2 = _random_hermitian(rng, dim, sigma)
-        h3 = _random_hermitian(rng, dim, sigma)
-        a, b, c = _gated_exp([h.array for h in (h1, h2, h3)])
-        return SampleBundle(a, b, c, h1, h2)
-
-    if config.ensemble == "commuting_pair":
-        basis = _random_unitary(rng, dim)
-        (a, b), logs = _from_basis(basis, log_spectra(2))
-        h3 = _random_hermitian(rng, dim, sigma)
-        return SampleBundle(a, b, *_gated_exp([h3.array]), *logs)
-
-    if config.ensemble == "commuting_triple":
-        basis = _random_unitary(rng, dim)
-        (a, b, c), logs = _from_basis(basis, log_spectra(3))
-        return SampleBundle(a, b, c, *logs[:2])
-
-    if config.ensemble == "gamma_commuting_triple":
-        x = _random_invertible(rng, dim)
-        a, b, c = _gated([x] * 3, log_spectra(3))
-        return SampleBundle(a, b, c, mat_log(a), mat_log(b))
-
-    # near_commuting: commuting base pair, then B perturbed along a unit
-    # Hermitian direction with magnitude config.epsilon.
-    basis = _random_unitary(rng, dim)
-    (a, b), (log_a, log_b) = _from_basis(basis, log_spectra(2))
-    direction = _unit_direction(rng, dim)
-    h3 = _random_hermitian(rng, dim, sigma)
-    if config.epsilon == 0.0:
-        return SampleBundle(a, b, *_gated_exp([h3.array]), log_a, log_b)
-    log_b = HermitianMatrix._adopt(log_b.array + config.epsilon * direction.array)
-    b, c = _gated_exp([log_b.array, h3.array])
-    return SampleBundle(a, b, c, log_a, log_b)
+    samples = _sample_stacks(config, [_draw(config, index)])
+    spd = [SpdMatrix._adopt(m.array[0], dec=m.eig()[0]) for m in (samples.a, samples.b, samples.c)]
+    return SampleBundle(*spd, HermitianMatrix._adopt(samples.log_a[0]),
+                        HermitianMatrix._adopt(samples.log_b[0]))
 
 
 @dataclass(frozen=True)
@@ -240,49 +264,194 @@ class ScanRecord:
     gamma_defect_bracket: float
 
 
-def _family(family: str, p, a: SpdMatrix, b: SpdMatrix, c, logs):
-    """(values, commutator defect) of one checker family on one sample."""
-    if family == "sphere":
-        a, b = project_to_unit_sphere(a, p), project_to_unit_sphere(b, p)
-        return _sphere_spectra(a, b, p), commutator_defect(a, b)
-    if family == "triple":
-        return _triple_spectra(a, b, c), commutator_defect(a, b)
-    if family == "distance":
-        return _distance_spectra(a, b, mat_log(b).array), commutator_defect(a, b)
-    values = _pair_spectra(*logs) if family == "norms" else logs
-    return values, commutator_defect(*logs)
+CSV_COLUMNS = tuple(f.name for f in fields(ScanRecord))
 
 
-def _rows(echo: dict, plan, family, tol_rel: float | None = None) -> list[ScanRecord]:
-    """The one row builder: each planned (checker, order) on one sample, read
-    from ``family(name, order)``, the (values, commutator defect) of that
-    checker family (``order`` is None but for the sphere family, built per
-    order); ``echo`` fills the configuration and gamma-defect columns."""
-    rows = []
-    for checker, p in plan:
-        values, defect = family(checker.family, p if checker.family == "sphere" else None)
-        for report in checker.evaluate(values, p):
-            satisfied = report.satisfied if tol_rel is None else _satisfied(
-                report.gap, report.lhs, report.rhs, tol_rel)
-            rows.append(ScanRecord(
-                **echo, inequality=report.name, p=p, lhs=report.lhs, rhs=report.rhs,
-                gap=report.gap, satisfied=satisfied, commutator_defect=defect,
-            ))
-    return rows
+class ScanTable:
+    """Experiment rows stored by column: ``columns`` maps each name of
+    CSV_COLUMNS to a list with one value per row.  Campaigns and gap scans
+    return one; iterating or indexing it yields ScanRecords, and it
+    compares equal to a sequence of the same records."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict | None = None):
+        self.columns = {name: list(columns[name]) if columns else [] for name in CSV_COLUMNS}
+
+    @classmethod
+    def of(cls, records) -> "ScanTable":
+        """A table of ScanRecords, or the table itself."""
+        if isinstance(records, ScanTable):
+            return records
+        records = list(records)
+        return cls({name: [getattr(r, name) for r in records] for name in CSV_COLUMNS})
+
+    def __len__(self) -> int:
+        return len(self.columns["index"])
+
+    def __iter__(self):
+        return (ScanRecord(*row) for row in zip(*self.columns.values()))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        return ScanRecord(*(column[index] for column in self.columns.values()))
+
+    def __eq__(self, other):
+        if not isinstance(other, (ScanTable, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def extend(self, other: "ScanTable") -> None:
+        for name, column in self.columns.items():
+            column.extend(other.columns[name])
+
+
+def _table(count: int, sides: tuple[list, ...], tol_rel: float | None = None,
+           **columns) -> ScanTable:
+    """The one column builder: ``count`` rows whose sides come from checker
+    columns ``(lhs, rhs, gap, satisfied)``, ``tol_rel`` optionally
+    overriding their verdicts; every other column is a list, or one value
+    repeated over the rows."""
+    lhs, rhs, gap, satisfied = sides
+    if tol_rel is not None:
+        satisfied = _satisfied(lhs, rhs, gap, tol_rel)
+    columns.update(lhs=lhs, rhs=rhs, gap=gap, satisfied=satisfied)
+    return ScanTable({name: value if isinstance(value, list) else [value] * count
+                      for name, value in columns.items()})
+
+
+# Work per chunk, in units of d^3: a campaign chunk takes max(1, CHUNK_WORK
+# // d^3) samples through its stages at once, 262 at d = 5 and one at d = 32,
+# and a gap-study chunk that many ray points, whole rays at a time.  Large
+# matrices gain nothing from stacking (LAPACK dominates them) and would only
+# hold more memory.  Each sample depends only on (config, index), so the
+# chunk size changes no output byte.
+CHUNK_WORK = 32**3
+
+
+def _sphere_families(samples: _Samples, orders: list[float]) -> dict:
+    """The sphere family at each order, from the projections of a and b onto
+    the unit spheres of every order, stacked order-major."""
+    a, b = (_Stack(_project(m, orders)[0]) for m in (samples.a, samples.b))
+    spectra = _sphere_spectra(a, b)
+    defects = _defects(a.array, b.array)
+    n = len(samples.a)
+    return {p: ({name: values[k * n:(k + 1) * n] for name, values in spectra.items()},
+                defects[k * n:(k + 1) * n])
+            for k, p in enumerate(orders)}
+
+
+def _families(samples: _Samples, plan) -> dict:
+    """Each family the plan reads, built once over all samples in the
+    plan's order of first use, with the commutator defect it reports: of
+    (a, b), of the logs, or of the projected pair at each sphere order."""
+    a, b, logs = samples.a, samples.b, (samples.log_a, samples.log_b)
+    pairs, defects = {"ab": (a.array, b.array), "logs": logs}, {}
+
+    def pair_defects(key):
+        if key not in defects:
+            defects[key] = _defects(*pairs[key])
+        return defects[key]
+
+    builders = {
+        "norms": lambda: (_pair_spectra(*logs), pair_defects("logs")),
+        "hermitian_pair": lambda: (_lemma_spectra(*logs), pair_defects("logs")),
+        "distance": lambda: (_distance_spectra(a, b), pair_defects("ab")),
+        "triple": lambda: (_triple_spectra(a, b, samples.c), pair_defects("ab")),
+        "sphere": lambda: _sphere_families(samples, list(dict.fromkeys(
+            p for _, checker, p in plan if checker.family == "sphere"))),
+    }
+    families = {}
+    for _, checker, _ in plan:
+        if checker.family not in families:
+            families[checker.family] = builders[checker.family]()
+    return families
+
+
+def _campaign_rows(config: SampleConfig, items: list[tuple], plan, slots,
+                   tol_rel: float | None) -> ScanTable:
+    """The rows of the drawn samples, ``(index, draw)`` items: every stage
+    one batched call over all of them, the checker formulas one row at a
+    time."""
+    if not items:
+        return ScanTable()
+    indices = [index for index, _ in items]
+    samples = _sample_stacks(config, [draw for _, draw in items])
+    products, brackets = _gamma_defects(samples.a, samples.b, samples.c)
+    families = _families(samples, plan)
+    evaluated, defects, inputs = [], [], {}
+    for name, checker, p in plan:
+        family = families[checker.family]
+        values, pair_defects = family[p] if checker.family == "sphere" else family
+        key = (checker.family, p)
+        if key not in inputs:  # each family's norms once per order, for all its checkers
+            inputs[key] = _inputs(checker.family, values, p)
+        evaluated.append(_evaluate(name, inputs[key], p))
+        defects.append(pair_defects)
+    def interleave(segments):
+        """Each sample's rows in slot order: one permutation of the plan's rows."""
+        return [value for sample in zip(*segments) for value in sample]
+
+    sides = [interleave([evaluated[k][j][column] for _, _, k, j in slots]) for column in range(4)]
+    width, count = len(slots), len(indices) * len(slots)
+    return _table(
+        count, sides, tol_rel,
+        index=[index for index in indices for _ in range(width)],
+        dim=config.dim, spread=config.spread, ensemble=config.ensemble, seed=config.seed,
+        epsilon=config.epsilon,
+        inequality=[name for name, _, _, _ in slots] * len(indices),
+        p=[p for _, p, _, _ in slots] * len(indices),
+        commutator_defect=interleave([defects[k] for _, _, k, _ in slots]),
+        gamma_defect_product=[g for g in products for _ in range(width)],
+        gamma_defect_bracket=[g for g in brackets for _ in range(width)],
+    )
+
+
+def _chunked(config: SampleConfig, count: int, rows, points: int = 1) -> ScanTable:
+    """``rows(items)`` of samples 0 .. count - 1, chunk by chunk (see
+    CHUNK_WORK; a gap-study sample is a ray of ``points`` points), each item
+    an (index, draw) pair.  On a failure it raises what a loop over the
+    samples would: the error of the first failing sample, found by running
+    the samples one at a time; a draw-time error only if every earlier
+    sample passed."""
+    size = max(1, CHUNK_WORK // (points * config.dim**3))
+    table = ScanTable()
+    for start in range(0, count, size):
+        items, draw_error = [], None
+        for index in range(start, min(count, start + size)):
+            try:
+                items.append((index, _draw(config, index)))
+            except RuntimeError as exc:
+                draw_error = exc
+                break
+        try:
+            table.extend(rows(items))
+        except (ValueError, RuntimeError):
+            for item in items:
+                rows([item])
+            raise
+        if draw_error is not None:
+            raise draw_error
+    return table
 
 
 def run_campaign(config: SampleConfig, inequalities: Sequence[str],
                  p_values: Sequence[float], count: int, *,
-                 tol_rel: float | None = None) -> list[ScanRecord]:
+                 tol_rel: float | None = None) -> ScanTable:
     """Evaluate the requested inequalities on ``count`` ensemble samples.
 
     Each requested inequality runs at every requested order inside its
     validity range; an inequality left with no valid order raises
-    CheckerRangeError before any sampling.  Per sample, each checker family
-    the plan needs is built once (sphere families once per order) and every
-    (checker, order) row is evaluated against it.  Rows come back sorted by
-    (index, inequality, p), and ``tol_rel`` optionally overrides the
-    satisfaction tolerance recorded per row.
+    CheckerRangeError before any sampling.  Samples go through in chunks (see
+    CHUNK_WORK), each stage one batched call over a chunk, and each
+    checker family the plan needs is built once per chunk (the sphere
+    family from the projections of every order) and every (checker, order)
+    row is evaluated against it.  Rows come in (index, inequality, p)
+    order, and ``tol_rel`` optionally overrides the satisfaction tolerance
+    recorded per row.
     """
     for name in inequalities:
         if name not in CHECKERS:
@@ -297,26 +466,73 @@ def run_campaign(config: SampleConfig, inequalities: Sequence[str],
             raise CheckerRangeError(
                 f"inequality {name!r} accepts none of the requested orders {p_list}"
             )
-        plan += [(CHECKERS[name], p) for p in orders]
+        plan += [(name, CHECKERS[name], p) for p in orders]
+    # Report names depend on p alone, so one sort of the plan's report slots
+    # (name, p, plan entry, report) orders every sample's rows.
+    slots = sorted(((report, p, k, j) for k, (_, checker, p) in enumerate(plan)
+                    for j, report in enumerate(checker.names(p))),
+                   key=lambda slot: (slot[0], -1.0 if math.isnan(slot[1]) else slot[1]))
+    return _chunked(config, count,
+                    lambda items: _campaign_rows(config, items, plan, slots, tol_rel))
 
-    records = []
-    for index in range(count):
-        bundle = sample_bundle(config, index)
-        gamma = gamma_commute(bundle.a, bundle.b, bundle.c)
-        echo = dict(index=index, dim=config.dim, spread=config.spread,
-                    ensemble=config.ensemble, seed=config.seed, epsilon=config.epsilon,
-                    gamma_defect_product=gamma.defect_product,
-                    gamma_defect_bracket=gamma.defect_bracket)
-        logs = (bundle.log_a, bundle.log_b)
-        family = functools.cache(
-            lambda name, p: _family(name, p, bundle.a, bundle.b, bundle.c, logs))
-        records += _rows(echo, plan, family, tol_rel)
-    records.sort(key=lambda r: (r.index, r.inequality, -1.0 if math.isnan(r.p) else r.p))
-    return records
+
+def _ray_grid(eps_grid: Sequence[float]) -> list[float]:
+    grid = [float(e) for e in eps_grid]
+    if (not grid or grid[0] != 0.0 or not math.isfinite(grid[-1])
+            or any(not b > a for a, b in zip(grid, grid[1:]))):
+        raise ValueError("eps grid must be finite, strictly ascending and start at 0")
+    return grid
+
+
+def _rays(A: _Stack, B: _Stack, grid: list[float], orders: list[float],
+          seeds: list[int]) -> ScanTable:
+    """The gap-study rows of the ray from each row pair (A, B), its
+    direction seeded by the pair's seed: every ray's points stacked, each
+    step one batched call over all of them, rows in (pair, order, epsilon)
+    order."""
+    count, width, dim = len(B), len(grid), B.array.shape[-1]
+    directions = np.array([_unit_direction(np.random.default_rng(mix_seed(seed, 0)), dim).array
+                           for seed in seeds])
+    steps = np.array(grid[1:])[:, None, None]
+    ray = _eigh_array((B.log()[:, None] + steps * directions[:, None]).reshape(-1, dim, dim))
+    arrays, gate = _gated_exp_stack(ray.unitary, ray.eigenvalues)
+
+    def with_base(base, rest):
+        rest = rest.reshape(count, width - 1, *base.shape[1:])
+        return np.concatenate([base[:, None], rest], axis=1).reshape(-1, *base.shape[1:])
+
+    def repeated(stack):
+        return np.repeat(stack, width, axis=0)
+
+    base, start = B.eig(), A.eig()
+    points = _Stack(with_base(B.array, arrays), EigenDecomposition(
+        with_base(base.eigenvalues, gate.eigenvalues), with_base(base.unitary, gate.unitary)))
+    A = _Stack(repeated(A.array), EigenDecomposition(repeated(start.eigenvalues),
+                                                     repeated(start.unitary)))
+    spectra = _distance_spectra(A, points)
+    defects = _defects(A.array, points.array)
+    reports = [_evaluate("distance_lower_bound", _inputs("distance", spectra, q), q)[0]
+               for q in orders]
+
+    def by_pair(columns):
+        return [value for k in range(count) for column in columns
+                for value in column[k * width:(k + 1) * width]]
+
+    sides = [by_pair([report[column] for report in reports]) for column in range(4)]
+    rows = count * len(orders) * width
+    return _table(
+        rows, sides,
+        index=list(range(width)) * (rows // width), dim=dim, spread=math.nan,
+        ensemble="near_commuting", seed=[seed for seed in seeds for _ in range(rows // count)],
+        epsilon=grid * (rows // width), inequality="distance_lower_bound",
+        p=[q for _ in range(count) for q in orders for _ in grid],
+        commutator_defect=by_pair([defects] * len(orders)), gamma_defect_product=math.nan,
+        gamma_defect_bracket=math.nan,
+    )
 
 
 def gap_scan(A: SpdMatrix, B: SpdMatrix, eps_grid: Sequence[float], p, *,
-             seed: int = 0) -> list[ScanRecord]:
+             seed: int = 0) -> ScanTable:
     """Distance-lower-bound gap along a noncommutativity ray from (A, B).
 
     For each epsilon in the finite ascending grid (which must start at 0), B is
@@ -327,58 +543,75 @@ def gap_scan(A: SpdMatrix, B: SpdMatrix, eps_grid: Sequence[float], p, *,
     them: the ray is built once, each step one batched call over its points,
     and every order reads it, with rows in (order, epsilon) order.
     """
-    grid = [float(e) for e in eps_grid]
-    if (not grid or grid[0] != 0.0 or not math.isfinite(grid[-1])
-            or any(not b > a for a, b in zip(grid, grid[1:]))):
-        raise ValueError("eps grid must be finite, strictly ascending and start at 0")
+    grid = _ray_grid(eps_grid)
     orders = [_validate_p(q) for q in np.atleast_1d(p)]
     _matching(A, B)
-    direction = _unit_direction(np.random.default_rng(mix_seed(seed, 0)), A.dim)
-    log_b = mat_log(B).array
-    ray = _eigh_array(log_b + np.array(grid[1:])[:, None, None] * direction.array)
-    arrays, gate = _gated_exp_stack(ray.unitary, ray.eigenvalues)
-    points = np.concatenate([B.array[None], arrays])
-    logs = np.concatenate([log_b[None], _assemble(
-        gate.unitary, _function_values(gate.eigenvalues, np.log))])
-    spectra = _distance_spectra(A, points, logs)
-    defects = [float(np.linalg.norm(m)) for m in A.array @ points - points @ A.array]
-    families = [(dict(zip(spectra, values)), defect)
-                for values, defect in zip(zip(*spectra.values()), defects)]
-    checker, records = CHECKERS["distance_lower_bound"], []
-    for q in orders:
-        for i, (eps, family) in enumerate(zip(grid, families)):
-            echo = dict(index=i, dim=A.dim, spread=math.nan, ensemble="near_commuting",
-                        seed=seed, epsilon=eps, gamma_defect_product=math.nan,
-                        gamma_defect_bracket=math.nan)
-            records += _rows(echo, [(checker, q)], lambda *_: family)
-    return records
+    return _rays(_Stack.of(A), _Stack.of(B), grid, orders, [seed])
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(ScanRecord))
+def _gap_study(config: SampleConfig, count: int, eps_grid: Sequence[float], p) -> ScanTable:
+    """``gap-study`` at one dimension: the ray of ``gap_scan`` from each of
+    ``count`` base pairs of ``config``, seeded per pair, the rays of a
+    chunk of base pairs stacked, rows in (base pair, order, epsilon) order."""
+    grid = _ray_grid(eps_grid)
+    orders = [_validate_p(q) for q in np.atleast_1d(p)]
+
+    def rays(items):
+        if not items:
+            return ScanTable()
+        samples = _sample_stacks(config, [draw for _, draw in items])
+        return _rays(samples.a, samples.b, grid, orders,
+                     [mix_seed(config.seed, index) for index, _ in items])
+
+    return _chunked(config, count, rays, len(grid))
 
 
-def _record_line(r: ScanRecord) -> str:
-    """One CSV row in CSV_COLUMNS order: floats at 17 significant digits."""
-    return (f"{r.index},{r.dim},{r.spread:.17g},{r.ensemble},{r.seed},{r.epsilon:.17g},"
-            f"{r.inequality},{r.p:.17g},{r.lhs:.17g},{r.rhs:.17g},{r.gap:.17g},"
-            f"{'true' if r.satisfied else 'false'},{r.commutator_defect:.17g},"
-            f"{r.gamma_defect_product:.17g},{r.gamma_defect_bracket:.17g}")
+# One CSV line per row in CSV_COLUMNS order: floats at 17 significant digits,
+# verdicts as true/false.  Besides lhs, rhs and gap, a float column repeats
+# one value object over many rows (a configuration, order, sample or family
+# value), so each such object is formatted once.
+_SIDES = ("lhs", "rhs", "gap")
+_LINE = ",".join("%.17g" if name in _SIDES else "%s" for name in CSV_COLUMNS)
+_REPEATED = ("spread", "epsilon", "p", "commutator_defect", "gamma_defect_product",
+             "gamma_defect_bracket")
 
 
-def render_csv(records: Sequence[ScanRecord], header_comments: Sequence[str] = ()) -> str:
+def _formatted(column: list) -> list[str]:
+    """Each float of a column at 17 significant digits, formatted once per
+    value object (not per value, so 0.0 and -0.0 stay apart)."""
+    texts, out = {}, []
+    for value in column:
+        text = texts.get(id(value))
+        if text is None:
+            text = texts[id(value)] = "%.17g" % value
+        out.append(text)
+    return out
+
+
+def _csv_lines(table: ScanTable) -> list[str]:
+    columns = dict(table.columns)
+    for name in _REPEATED:
+        columns[name] = _formatted(columns[name])
+    columns["satisfied"] = ["true" if value else "false" for value in columns["satisfied"]]
+    return [_LINE % row for row in zip(*columns.values())]
+
+
+def render_csv(records, header_comments: Sequence[str] = ()) -> str:
     """Deterministic CSV text: comments, header row, one line per record.
 
-    Floats carry 17 significant digits so a parse-back recovers them exactly.
+    ``records`` is a ScanTable or a sequence of ScanRecords.  Floats carry
+    17 significant digits so a parse-back recovers them exactly.
     """
     lines = [f"# {comment}" for comment in header_comments]
     lines.append(",".join(CSV_COLUMNS))
-    lines.extend(_record_line(record) for record in records)
-    return "\n".join(lines) + "\n"
+    lines.extend(_csv_lines(ScanTable.of(records)))
+    lines.append("")  # the final line ending, without a second copy of the text
+    return "\n".join(lines)
 
 
-def write_csv(records: Sequence[ScanRecord], destination,
-              header_comments: Sequence[str] = ()) -> None:
-    """Write records as CSV to a path or text stream ('.' decimals, '\\n' endings)."""
+def write_csv(records, destination, header_comments: Sequence[str] = ()) -> None:
+    """Write records (a ScanTable or ScanRecords) as CSV to a path or text
+    stream ('.' decimals, '\\n' endings)."""
     text = render_csv(records, header_comments)
     if hasattr(destination, "write"):
         destination.write(text)

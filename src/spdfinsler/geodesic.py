@@ -20,15 +20,18 @@ import numpy as np
 from .matcore import (
     HermitianMatrix,
     SpdMatrix,
+    _Stack,
     _assemble,
+    _eigh_array,
+    _frobenius,
+    _function_values,
     _hermitian_part,
     _matching,
     _require_positive,
-    commutator_defect,
     mat_log,
     mat_pow,
 )
-from .schatten import _lp, _validate_p, schatten_norm
+from .schatten import _lp, _lp_rows, _validate_p, schatten_norm
 
 __all__ = [
     "GeodesicCurve",
@@ -56,30 +59,95 @@ def _congruence(S: np.ndarray, X: np.ndarray) -> np.ndarray:
     return _hermitian_part(S @ X @ S)
 
 
-def _sandwich_log_eigs(A: SpdMatrix, B) -> np.ndarray:
+def _descending_logs(w: np.ndarray) -> np.ndarray:
+    """log of each ascending row of a ``(k, d)`` stack, rows reversed to
+    descending.  The log runs over one reversed 1-D view, the strided path
+    that ``np.log(row[::-1])`` takes for each row alone (a contiguous stack
+    would take the vectorized path, whose roundings differ)."""
+    return np.log(np.ascontiguousarray(w).ravel()[::-1])[::-1].reshape(w.shape)[:, ::-1]
+
+
+def _sandwich_log_eigs(A, B) -> np.ndarray:
     """log of the eigenvalues of A^{-1/2} B A^{-1/2}, descending, for one SPD
-    matrix B or, row by row, for each matrix of a ``(k, d, d)`` stack.
+    matrix B or, row by row, for each matrix of a stack: B a matrix, a
+    ``(k, d, d)`` array or a ``_Stack``, and A an SpdMatrix or a ``_Stack``
+    of one matrix or of one per row of B.
 
     One eigvalsh and one positivity check serve the whole stack, raising if
-    a sandwich lost positivity; log runs one spectrum at a time.  A matrix
-    equal to A gives the exact zero spectrum, so delta_p(A, A) is exactly 0
-    rather than the roundoff of the sandwich.
+    a sandwich lost positivity.  A matrix equal to its A gives the exact
+    zero spectrum, so delta_p(A, A) is exactly 0 rather than the roundoff of
+    the sandwich.
     """
-    Aa, Ba = _matching(A, B, stack=True)
-    equal = (Ba == Aa).reshape(-1, Aa.size).all(axis=1).tolist()
-    if all(equal):
-        return np.zeros(Ba.shape[:-1])
-    w = np.linalg.eigvalsh(_congruence(mat_pow(A, -0.5).array, Ba)).reshape(-1, A.dim)
-    _require_positive(w[np.logical_not(equal)])
-    logs = [np.zeros(A.dim) if same else np.log(row[::-1]) for same, row in zip(equal, w)]
-    return logs[0] if Ba.ndim == 2 else np.array(logs)
+    A = _Stack.of(A)
+    Ba = B.array if isinstance(B, _Stack) else _matching(A.array[0], B, stack=True)[1]
+    stack = Ba.reshape(-1, *Ba.shape[-2:])
+    dim = stack.shape[-1]
+    equal = (stack == A.array).reshape(-1, dim * dim).all(axis=1)
+    logs = np.zeros(equal.shape + (dim,))
+    if not equal.all():
+        w = np.linalg.eigvalsh(_congruence(A.power(-0.5), stack))[~equal]
+        logs[~equal] = _descending_logs(_require_positive(w))
+    return logs[0] if Ba.ndim == 2 and len(A) == 1 else logs
 
 
-def _log_euclidean_eigs(A: SpdMatrix, log_B: np.ndarray) -> np.ndarray:
+def _log_euclidean_eigs(A, log_B: np.ndarray) -> np.ndarray:
     """Eigenvalues of log A - log B, whose l^p norm is the log-Euclidean
     distance, for log B one Hermitian array or, from one batched eigvalsh,
-    each of a ``(k, d, d)`` stack of them."""
-    return np.linalg.eigvalsh(mat_log(A).array - log_B)
+    each of a ``(k, d, d)`` stack of them (A one matrix or one per row)."""
+    A = _Stack.of(A)
+    w = np.linalg.eigvalsh(A.log() - log_B)
+    return w[0] if log_B.ndim == 2 and len(A) == 1 else w
+
+
+def _weighted_mean(A: _Stack, B: _Stack, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The geodesic point A #_t B of each row pair of two stacks, as arrays
+    and the spectral values of their sandwich power; a row whose B equals A
+    gives A itself."""
+    equal = (B.array == A.array).reshape(len(B), -1).all(axis=1)
+    sqrt_a = A.power(0.5)
+    dec = _eigh_array(_congruence(A.power(-0.5), B.array))
+    _require_positive(dec.eigenvalues[~equal])
+    values = dec.eigenvalues ** float(t)
+    points = _congruence(sqrt_a, _assemble(dec.unitary, values))
+    _require_positive(values[~equal])
+    points[equal] = A.array[equal]
+    return points, values
+
+
+def _project(A: _Stack, orders) -> tuple[np.ndarray, np.ndarray]:
+    """A^(1 / ||log A||_p), the radial projection onto the exponential unit
+    sphere of order p, of each matrix at each order, order-major: one stack
+    of arrays and one of their spectral values."""
+    dec = A.eig()
+    logs = np.log(dec.eigenvalues)
+    exponents = []
+    for p in orders:
+        for radius in _lp_rows(logs, p):
+            if radius <= 1e-12:
+                raise ValueError("cannot project the identity onto the unit sphere (no direction)")
+            exponents.append(1.0 / radius)
+    count = len(orders)
+    values = _require_positive(_function_values(
+        np.tile(dec.eigenvalues, (count, 1)),
+        lambda eigs: np.array([row**t for row, t in zip(eigs, exponents)])))
+    return _assemble(np.tile(dec.unitary, (count, 1, 1)), values), values
+
+
+def _gamma_defects(A: _Stack, B: _Stack, C: _Stack) -> tuple[list[float], list[float]]:
+    """The normalized defects of ``gamma_commute`` for each row triple,
+    each norm one Frobenius norm per matrix."""
+    b_inv = B.power(-1.0)
+    product = A.array @ b_inv @ C.array
+    S = A.power(-0.5)
+    X = S @ B.array @ S
+    Y = S @ C.array @ S
+    asymmetry, bracket = product - product.conj().mT, X @ Y - Y @ X
+    norm = _frobenius
+    return (
+        [norm(asymmetry[k]) / (norm(A.array[k]) * norm(b_inv[k]) * norm(C.array[k]))
+         for k in range(len(X))],
+        [norm(bracket[k]) / (norm(X[k]) * norm(Y[k])) for k in range(len(X))],
+    )
 
 
 class GeodesicCurve:
@@ -129,7 +197,8 @@ def weighted_mean(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
     """
     if np.array_equal(*_matching(A, B)):
         return A
-    return GeodesicCurve(A, B).eval(t)
+    points, values = _weighted_mean(_Stack.of(A), _Stack.of(B), t)
+    return SpdMatrix._adopt(points[0], values[0])
 
 
 def geometric_mean(A: SpdMatrix, B: SpdMatrix) -> SpdMatrix:
@@ -234,19 +303,7 @@ def gamma_commute(A: SpdMatrix, B: SpdMatrix, C: SpdMatrix,
     """
     _matching(A, B)
     _matching(A, C)
-    b_inv = mat_pow(B, -1.0).array
-    product = A.array @ b_inv @ C.array
-    defect_product = float(np.linalg.norm(product - product.conj().T)) / (
-        float(np.linalg.norm(A.array))
-        * float(np.linalg.norm(b_inv))
-        * float(np.linalg.norm(C.array))
-    )
-    S = mat_pow(A, -0.5).array
-    X = S @ B.array @ S
-    Y = S @ C.array @ S
-    defect_bracket = commutator_defect(X, Y) / (
-        float(np.linalg.norm(X)) * float(np.linalg.norm(Y))
-    )
+    (defect_product,), (defect_bracket,) = _gamma_defects(*map(_Stack.of, (A, B, C)))
     return GammaCommuteReport(
         defect_product=defect_product,
         defect_bracket=defect_bracket,
@@ -266,7 +323,5 @@ def project_to_unit_sphere(A: SpdMatrix, p) -> SpdMatrix:
     Returns ``A^(1 / ||log A||_p)``, which satisfies the sphere predicate
     up to roundoff.  Raises for A = I, where no direction exists.
     """
-    radius = delta_p_to_identity(A, p)
-    if radius <= 1e-12:
-        raise ValueError("cannot project the identity onto the unit sphere (no direction)")
-    return mat_pow(A, 1.0 / radius)
+    arrays, values = _project(_Stack.of(A), [_validate_p(p)])
+    return SpdMatrix._adopt(arrays[0], values[0])

@@ -2,10 +2,11 @@
 
 Every checker is one row of the table ``CHECKERS``: its valid p-range, the
 family of p-independent values it reads, and its formulas.  A family is built
-once from raw inputs: a public ``check_*`` call builds it for one evaluation,
-and a campaign builds it once per sample and evaluates every requested order
-against it.  Each report's gap is oriented so that nonnegative means
-satisfied, matching the inequality exactly as conventionally printed.
+from raw inputs by one stacked builder: a public ``check_*`` call builds it
+for one sample, a campaign once for all the samples of a chunk, and every
+requested order is evaluated against it.  Each report's gap is oriented so
+that nonnegative means satisfied, matching the inequality exactly as
+conventionally printed.
 p-range gates are hard errors: a checker never silently coerces an
 out-of-range order.
 """
@@ -21,28 +22,31 @@ import numpy as np
 from .matcore import (
     HermitianMatrix,
     SpdMatrix,
+    _Stack,
+    _assemble,
+    _eigh_array,
+    _function_values,
     _hermitian_part,
     _matching,
-    as_matrix,
+    _require_positive,
     commutator_defect,
-    mat_exp,
-    mat_log,
 )
 from .schatten import (
     MajorizationVerdict,
-    Spectrum,
-    _lp,
+    _descending,
+    _lp_rows,
+    _majorization_slack,
+    _prefix_verdicts,
     _validate_p,
-    singular_values,
-    weak_majorizes,
+    _verdict,
 )
 from .geodesic import (
     SPHERE_TOL,
+    _gamma_defects,
     _log_euclidean_eigs,
     _sandwich_log_eigs,
+    _weighted_mean,
     delta_p_to_identity,
-    gamma_commute,
-    geometric_mean,
     on_unit_sphere,
 )
 
@@ -100,22 +104,10 @@ class InequalityReport:
     diagnostics: dict[str, float] = field(default_factory=dict)
 
 
-def _satisfied(gap: float, lhs: float, rhs: float, rtol: float = REPORT_RTOL) -> bool:
-    """The verdict rule: gap >= -rtol * max(1, |lhs|, |rhs|)."""
-    return bool(gap >= -rtol * max(1.0, abs(lhs), abs(rhs)))
-
-
-def _report(name: str, p: float, lhs: float, rhs: float, gap: float,
-            diagnostics: dict[str, float] | None = None) -> InequalityReport:
-    return InequalityReport(
-        name=name,
-        p=float(p),
-        lhs=float(lhs),
-        rhs=float(rhs),
-        gap=float(gap),
-        satisfied=_satisfied(gap, lhs, rhs),
-        diagnostics=dict(diagnostics or {}),
-    )
+def _satisfied(lhs: list[float], rhs: list[float], gap: list[float],
+               rtol: float = REPORT_RTOL) -> list[bool]:
+    """The verdict rule, row by row: gap >= -rtol * max(1, |lhs|, |rhs|)."""
+    return [g >= -rtol * max(1.0, abs(l), abs(r)) for l, r, g in zip(lhs, rhs, gap)]
 
 
 @dataclass(frozen=True)
@@ -149,13 +141,18 @@ class Checker:
 
     ``p_range`` is the single definition of the orders the checker accepts
     (None for the p-independent log-majorization lemma).  ``family`` names
-    the values it reads (see the family builders below); ``evaluate(values,
-    p)`` turns that family's values into the checker's reports at order p.
+    the values it reads (see the family builders below).  ``names(p)`` are
+    the names of its reports at order p, which depend on p alone, and
+    ``evaluate(inputs, p)`` turns the family's inputs at order p (see
+    ``_inputs``), one row per sample, into one report per name: columns
+    ``(lhs, rhs, gap, satisfied, diagnostics)``, one entry per row, the
+    formulas run on Python floats.
     """
 
     p_range: PRange | None
     family: str
-    evaluate: Callable[[object, float], tuple[InequalityReport, ...]]
+    names: Callable[[float], tuple[str, ...]]
+    evaluate: Callable[[dict, float], tuple[tuple[list, ...], ...]]
 
     def orders(self, p_values) -> list[float]:
         """The requested orders a campaign evaluates this checker at: those
@@ -165,143 +162,198 @@ class Checker:
         return [float(p) for p in p_values if float(p) in self.p_range]
 
 
-# Family builders.  Each returns the p-independent values its checkers read:
-# a spectrum per named quantity, whose l^p norm is that quantity at order p.
-# "sphere" is the exception: its inputs are projected per order, so a sphere
-# family is built once per (sample, p).
+# Family builders.  Each takes stacks, one row per sample (one matrix each
+# for a public check_* call), and returns the p-independent values its
+# checkers read, one row per sample: a spectrum per named quantity, whose
+# l^p norm is that quantity at order p.  A sphere family's inputs are
+# projected per order, so it is built from the projections of each order.
 
-def _pair_spectra(X, Y) -> dict[str, np.ndarray]:
-    """The "norms" family: singular spectra of X, Y, X+Y and X-Y."""
-    Xa, Ya = _matching(X, Y)
-    return {
-        "norm_x": singular_values(Xa).values,
-        "norm_y": singular_values(Ya).values,
-        "norm_plus": singular_values(Xa + Ya).values,
-        "norm_minus": singular_values(Xa - Ya).values,
-    }
+def _pair_spectra(X: np.ndarray, Y: np.ndarray) -> dict[str, np.ndarray]:
+    """The "norms" family: singular spectra of X, Y, X+Y and X-Y for each
+    row pair of two ``(k, d, d)`` stacks, from one batched svd."""
+    sing = _descending(np.linalg.svd(np.stack([X, Y, X + Y, X - Y], axis=1),
+                                     compute_uv=False), "singular")
+    return dict(zip(("norm_x", "norm_y", "norm_plus", "norm_minus"), sing.swapaxes(0, 1)))
 
 
-def _distance_spectra(A: SpdMatrix, B, log_B: np.ndarray) -> dict[str, np.ndarray]:
+def _distance_spectra(A: _Stack, B: _Stack) -> dict[str, np.ndarray]:
     """The "distance" family: the log-spectra behind delta_p(A, B) and
-    ||log A - log B||_p, given log B.  B and log B may also be ``(k, d, d)``
-    stacks, giving one spectrum per row."""
-    return {"delta_p": _sandwich_log_eigs(A, B), "log_euclidean": _log_euclidean_eigs(A, log_B)}
+    ||log A - log B||_p for each row of B (A one matrix, or one per row)."""
+    return {"delta_p": _sandwich_log_eigs(A, B), "log_euclidean": _log_euclidean_eigs(A, B.log())}
 
 
-def _triple_spectra(A: SpdMatrix, B: SpdMatrix, C: SpdMatrix) -> dict[str, np.ndarray]:
+def _triple_spectra(A: _Stack, B: _Stack, C: _Stack) -> dict[str, np.ndarray]:
     """The "triple" family: sandwich log-spectra of (A,C), (B,C), (A,B) and (A#B,C)."""
-    mid = geometric_mean(A, B)
-    d_ac, d_ab = _sandwich_log_eigs(A, np.array(_matching(C, B)))
+    mean = _Stack(_weighted_mean(A, B, 0.5)[0])
+    d_ac, d_ab = _sandwich_log_eigs(A, C), _sandwich_log_eigs(A, B)
     return {
         "d_ac": d_ac,
         "d_bc": _sandwich_log_eigs(B, C),
         "d_ab": d_ab,
-        "d_mid": _sandwich_log_eigs(mid, C),
+        "d_mid": _sandwich_log_eigs(mean, C),
     }
 
 
-def _sphere_spectra(A: SpdMatrix, B: SpdMatrix, p: float) -> dict[str, np.ndarray]:
-    """The "sphere" family at order p: log-spectra behind delta_p(A#B, I) and
+def _sphere_spectra(A: _Stack, B: _Stack) -> dict[str, np.ndarray]:
+    """The "sphere" family: log-spectra behind delta_p(A#B, I) and
     delta_p(A, B), for A and B on the exponential unit sphere of order p."""
+    mean = _Stack(_weighted_mean(A, B, 0.5)[0])
     return {
-        "d_mid_identity": np.log(geometric_mean(A, B).eig().eigenvalues),
+        "d_mid_identity": np.log(mean.eig().eigenvalues),
         "d_ab": _sandwich_log_eigs(A, B),
     }
 
 
-def _norms(spectra: dict[str, np.ndarray], p: float) -> dict[str, float]:
-    return {name: _lp(values, p) for name, values in spectra.items()}
+def _lemma_spectra(H: np.ndarray, K: np.ndarray) -> dict[str, np.ndarray]:
+    """The "hermitian_pair" family: the spectra compared by the
+    log-majorization lemma, lambda(H + K) and the BCH side
+    lambda(log(e^{K/2} e^H e^{K/2})) = 2 log sigma(e^{H/2} e^{K/2}), plus
+    tr(H + K), for each row pair of two stacks of Hermitian arrays.  The
+    half-factor product halves the condition-number amplification of the
+    formed matrix."""
+    Ha, Ka = _hermitian_part(H), _hermitian_part(K)
+    sums = np.linalg.eigvalsh(Ha + Ka)
+    dec = _eigh_array(np.concatenate([0.5 * Ha, 0.5 * Ka]))
+    halves = _assemble(dec.unitary, _require_positive(_function_values(dec.eigenvalues, np.exp)))
+    sing = np.linalg.svd(halves[:len(Ha)] @ halves[len(Ha):], compute_uv=False)
+    if (sing[:, -1] <= 0.0).any():
+        raise ValueError("exponential product lost rank numerically")
+    return {"sum": sums, "bch": 2.0 * np.log(sing),
+            "trace": np.trace(H + K, axis1=-2, axis2=-1).real}
 
 
-def _ge(name: str, lhs, rhs):
-    """evaluate() of one inequality printed ``lhs >= rhs``; both sides are
+def _lemma_slack(values: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's majorization slack of lambda(H + K) against the BCH side,
+    with its tolerance, as ``weak_majorizes`` computes them."""
+    return _majorization_slack(_descending(values["sum"], "eigenvalue"),
+                               _descending(values["bch"], "eigenvalue"))
+
+
+def _inputs(family: str, values: dict[str, np.ndarray], p: float):
+    """What a checker of the family evaluates at order p: the lemma's values
+    as they are, or else the norms of the family's spectra at p, one dict
+    of Python floats per row."""
+    if family == "hermitian_pair":
+        return values
+    norms = {name: _lp_rows(spectra, p) for name, spectra in values.items()}
+    return [dict(zip(norms, row)) for row in zip(*norms.values())]
+
+
+def _report_columns(lhs: list[float], rhs: list[float], gap: list[float],
+                    diagnostics: list[dict]) -> tuple[list, ...]:
+    return lhs, rhs, gap, _satisfied(lhs, rhs, gap), diagnostics
+
+
+def _ge(p_range: PRange, family: str, name: str, lhs, rhs) -> Checker:
+    """The checker of one inequality printed ``lhs >= rhs``; both sides are
     formulas in the family's norms ``q`` at order ``p``."""
-    def evaluate(spectra: dict[str, np.ndarray], p: float) -> tuple[InequalityReport]:
-        q = _norms(spectra, p)
-        left, right = lhs(q, p), rhs(q, p)
-        return (_report(name, p, left, right, left - right, q),)
+    def evaluate(norms: list[dict[str, float]], p: float) -> tuple[tuple[list, ...]]:
+        left, right = [lhs(q, p) for q in norms], [rhs(q, p) for q in norms]
+        return (_report_columns(left, right, [l - r for l, r in zip(left, right)], norms),)
 
-    return evaluate
+    return Checker(p_range, family, lambda p: (name,), evaluate)
 
 
-def _clarkson_mccarthy(spectra: dict[str, np.ndarray], p: float):
+def _clarkson_mccarthy_names(p: float) -> tuple[str, str]:
+    side = "p_ge_2" if p >= 2.0 else "p_le_2"
+    return f"clarkson_mccarthy_lower_{side}", f"clarkson_mccarthy_upper_{side}"
+
+
+def _clarkson_mccarthy(norms: list[dict[str, float]], p: float):
     """Two reports, lower and upper bound, whose orientation flips at p = 2."""
-    q = _norms(spectra, p)
-    combined = q["norm_plus"] ** p + q["norm_minus"] ** p
-    separate = q["norm_x"] ** p + q["norm_y"] ** p
-    diagnostics = {"combined_power_sum": combined, "separate_power_sum": separate}
+    combined = [q["norm_plus"] ** p + q["norm_minus"] ** p for q in norms]
+    separate = [q["norm_x"] ** p + q["norm_y"] ** p for q in norms]
+    twice = [2.0 * s for s in separate]
+    bound = [2.0 ** (p - 1.0) * s for s in separate]
+    diagnostics = [{"combined_power_sum": c, "separate_power_sum": s}
+                   for c, s in zip(combined, separate)]
     if p >= 2.0:
-        lower = _report("clarkson_mccarthy_lower_p_ge_2", p,
-                        2.0 * separate, combined, combined - 2.0 * separate, diagnostics)
-        upper = _report("clarkson_mccarthy_upper_p_ge_2", p,
-                        combined, 2.0 ** (p - 1.0) * separate,
-                        2.0 ** (p - 1.0) * separate - combined, diagnostics)
+        lower = [c - t for c, t in zip(combined, twice)]
+        upper = [b - c for b, c in zip(bound, combined)]
     else:
-        lower = _report("clarkson_mccarthy_lower_p_le_2", p,
-                        2.0 * separate, combined, 2.0 * separate - combined, diagnostics)
-        upper = _report("clarkson_mccarthy_upper_p_le_2", p,
-                        combined, 2.0 ** (p - 1.0) * separate,
-                        combined - 2.0 ** (p - 1.0) * separate, diagnostics)
-    return lower, upper
+        lower = [t - c for c, t in zip(combined, twice)]
+        upper = [c - b for b, c in zip(bound, combined)]
+    return (_report_columns(twice, combined, lower, diagnostics),
+            _report_columns(combined, bound, upper, diagnostics))
 
 
-def _log_majorization(pair: tuple[HermitianMatrix, HermitianMatrix], p: float):
+def _log_majorization(values: dict[str, np.ndarray], p: float):
     """The lemma as one report: lhs and rhs are the traces of H + K and of
-    the BCH side, the gap is the smallest prefix slack."""
-    H, K = pair
-    verdict = check_log_majorization_lemma(H, K)
-    sum_trace = float(np.trace(as_matrix(H) + as_matrix(K)).real)
-    bch_trace = sum_trace + float(verdict.slack[-1])
-    return (InequalityReport("log_majorization", float(p), sum_trace, bch_trace,
-                             float(verdict.slack.min()), verdict.holds),)
+    the BCH side, the gap is the smallest prefix slack, and the verdict is
+    full majorization."""
+    slack, tol = _lemma_slack(values)
+    weak, tight = _prefix_verdicts(slack, tol)
+    traces = values["trace"].tolist()
+    return ((traces, [t + s for t, s in zip(traces, slack[:, -1].tolist())],
+             slack.min(axis=-1).tolist(), (weak & tight).tolist(), [{} for _ in traces]),)
 
 
 _ABOVE_1_TO_2 = PRange(1.0, 2.0, low_open=True)
 _FROM_2 = PRange(2.0, math.inf, high_open=True)
 
 CHECKERS: dict[str, Checker] = {
-    "clarkson_mccarthy": Checker(
-        PRange(1.0, math.inf, high_open=True), "norms", _clarkson_mccarthy),
-    "two_uniform_convexity": Checker(_ABOVE_1_TO_2, "norms", _ge(
-        "two_uniform_convexity",
+    "clarkson_mccarthy": Checker(PRange(1.0, math.inf, high_open=True), "norms",
+                                 _clarkson_mccarthy_names, _clarkson_mccarthy),
+    "two_uniform_convexity": _ge(
+        _ABOVE_1_TO_2, "norms", "two_uniform_convexity",
         lambda q, p: 0.5 * (q["norm_plus"]**2 + q["norm_minus"]**2),
-        lambda q, p: q["norm_x"]**2 + (p - 1.0) * q["norm_y"]**2)),
-    "hanner": Checker(PRange(1.0, HANNER_PROVEN_UPPER, point=HANNER_EXTRA_POINT), "norms", _ge(
-        "hanner_matrix",
+        lambda q, p: q["norm_x"]**2 + (p - 1.0) * q["norm_y"]**2),
+    "hanner": _ge(
+        PRange(1.0, HANNER_PROVEN_UPPER, point=HANNER_EXTRA_POINT), "norms", "hanner_matrix",
         lambda q, p: q["norm_plus"] ** p + q["norm_minus"] ** p,
-        lambda q, p: (q["norm_x"] + q["norm_y"]) ** p + abs(q["norm_x"] - q["norm_y"]) ** p)),
+        lambda q, p: (q["norm_x"] + q["norm_y"]) ** p + abs(q["norm_x"] - q["norm_y"]) ** p),
     # Narrower than check_distance_lower_bound accepts: see its docstring.
-    "distance_lower_bound": Checker(
-        PRange(1.0, math.inf, low_open=True, high_open=True), "distance", _ge(
-            "distance_lower_bound",
-            lambda q, p: q["delta_p"],
-            lambda q, p: q["log_euclidean"])),
-    "conde_2uc": Checker(_ABOVE_1_TO_2, "triple", _ge(
-        "conde_2uc",
+    "distance_lower_bound": _ge(
+        PRange(1.0, math.inf, low_open=True, high_open=True), "distance", "distance_lower_bound",
+        lambda q, p: q["delta_p"],
+        lambda q, p: q["log_euclidean"]),
+    "conde_2uc": _ge(
+        _ABOVE_1_TO_2, "triple", "conde_2uc",
         lambda q, p: 0.5 * (q["d_ac"]**2 + q["d_bc"]**2),
-        lambda q, p: q["d_mid"]**2 + (p - 1.0) / 4.0 * q["d_ab"]**2)),
-    "sphere_2uc": Checker(_ABOVE_1_TO_2, "sphere", _ge(
-        "sphere_2uc",
+        lambda q, p: q["d_mid"]**2 + (p - 1.0) / 4.0 * q["d_ab"]**2),
+    "sphere_2uc": _ge(
+        _ABOVE_1_TO_2, "sphere", "sphere_2uc",
         lambda q, p: 1.0 - q["d_mid_identity"],
-        lambda q, p: (p - 1.0) / 8.0 * q["d_ab"]**2)),
-    "p_convexity_high": Checker(_FROM_2, "triple", _ge(
-        "p_convexity_high",
+        lambda q, p: (p - 1.0) / 8.0 * q["d_ab"]**2),
+    "p_convexity_high": _ge(
+        _FROM_2, "triple", "p_convexity_high",
         lambda q, p: 0.5 * (q["d_ac"]**p + q["d_bc"]**p),
-        lambda q, p: 2.0 ** (-p) * q["d_ab"]**p + q["d_mid"]**p)),
-    "sphere_high": Checker(_FROM_2, "sphere", _ge(
-        "sphere_high",
+        lambda q, p: 2.0 ** (-p) * q["d_ab"]**p + q["d_mid"]**p),
+    "sphere_high": _ge(
+        _FROM_2, "sphere", "sphere_high",
         lambda q, p: 1.0 - q["d_mid_identity"]**p,
-        lambda q, p: 2.0 ** (-p) * q["d_ab"]**p)),
-    "p_convexity_low": Checker(_ABOVE_1_TO_2, "triple", _ge(
-        "p_convexity_low",
+        lambda q, p: 2.0 ** (-p) * q["d_ab"]**p),
+    "p_convexity_low": _ge(
+        _ABOVE_1_TO_2, "triple", "p_convexity_low",
         lambda q, p: q["d_ac"]**p + q["d_bc"]**p,
-        lambda q, p: 0.5 * q["d_ab"]**p + 2.0 ** (p - 1.0) * q["d_mid"]**p)),
-    "sphere_low": Checker(_ABOVE_1_TO_2, "sphere", _ge(
-        "sphere_low",
+        lambda q, p: 0.5 * q["d_ab"]**p + 2.0 ** (p - 1.0) * q["d_mid"]**p),
+    "sphere_low": _ge(
+        _ABOVE_1_TO_2, "sphere", "sphere_low",
         lambda q, p: 1.0 - 2.0 ** (p - 2.0) * q["d_mid_identity"]**p,
-        lambda q, p: 0.25 * q["d_ab"]**p)),
-    "log_majorization": Checker(None, "hermitian_pair", _log_majorization),
+        lambda q, p: 0.25 * q["d_ab"]**p),
+    "log_majorization": Checker(None, "hermitian_pair", lambda p: ("log_majorization",),
+                                _log_majorization),
 }
+
+
+def _evaluate(name: str, inputs, p: float) -> tuple[tuple[list, ...], ...]:
+    """``CHECKERS[name].evaluate``: the one place the formulas run.  An
+    order so large that a formula overflows a float raises a ValueError
+    naming the checker and the order."""
+    try:
+        return CHECKERS[name].evaluate(inputs, p)
+    except OverflowError as exc:
+        raise ValueError(f"{name}: a side of the inequality overflows a float at p = {p}") from exc
+
+
+def _reports(name: str, values: dict, p: float) -> tuple[InequalityReport, ...]:
+    """The reports of one public check: the checker's columns on one-row family values."""
+    return tuple(
+        InequalityReport(report, float(p), float(lhs), float(rhs), float(gap), satisfied,
+                         dict(diagnostics))
+        for report, ((lhs,), (rhs,), (gap,), (satisfied,), (diagnostics,))
+        in zip(CHECKERS[name].names(p),
+               _evaluate(name, _inputs(CHECKERS[name].family, values, p), p)))
 
 
 def _checked_order(name: str, p) -> float:
@@ -312,12 +364,20 @@ def _checked_order(name: str, p) -> float:
     return p
 
 
+def _pair(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """Two operands of one shape as one-row stacks."""
+    Xa, Ya = _matching(X, Y)
+    return Xa[None], Ya[None]
+
+
 def _check_triple(name: str, A: SpdMatrix, B: SpdMatrix, C: SpdMatrix, p) -> InequalityReport:
     p = _checked_order(name, p)
-    (report,) = CHECKERS[name].evaluate(_triple_spectra(A, B, C), p)
-    gamma = gamma_commute(A, B, C)
-    report.diagnostics.update(gamma_defect_product=gamma.defect_product,
-                              gamma_defect_bracket=gamma.defect_bracket)
+    _matching(A, B)
+    _matching(A, C)
+    stacks = [_Stack.of(M) for M in (A, B, C)]
+    (report,) = _reports(name, _triple_spectra(*stacks), p)
+    (product,), (bracket,) = _gamma_defects(*stacks)
+    report.diagnostics.update(gamma_defect_product=product, gamma_defect_bracket=bracket)
     return report
 
 
@@ -329,7 +389,8 @@ def _check_sphere(name: str, A: SpdMatrix, B: SpdMatrix, p) -> InequalityReport:
                 f"{label} is off the exponential unit sphere of order {p} by more than "
                 f"{SPHERE_TOL:.0e} (delta_p to identity = {delta_p_to_identity(U, p):.12g})"
             )
-    (report,) = CHECKERS[name].evaluate(_sphere_spectra(A, B, p), p)
+    _matching(A, B)
+    (report,) = _reports(name, _sphere_spectra(_Stack.of(A), _Stack.of(B)), p)
     return report
 
 
@@ -341,7 +402,7 @@ def check_clarkson_mccarthy(X, Y, p) -> tuple[InequalityReport, InequalityReport
     Returns (lower_report, upper_report).
     """
     p = _checked_order("clarkson_mccarthy", p)
-    return CHECKERS["clarkson_mccarthy"].evaluate(_pair_spectra(X, Y), p)
+    return _reports("clarkson_mccarthy", _pair_spectra(*_pair(X, Y)), p)
 
 
 def check_two_uniform_convexity_norm(X, Y, p) -> InequalityReport:
@@ -350,7 +411,7 @@ def check_two_uniform_convexity_norm(X, Y, p) -> InequalityReport:
     (||X+Y||_p^2 + ||X-Y||_p^2) / 2  >=  ||X||_p^2 + (p-1) ||Y||_p^2.
     """
     p = _checked_order("two_uniform_convexity", p)
-    (report,) = CHECKERS["two_uniform_convexity"].evaluate(_pair_spectra(X, Y), p)
+    (report,) = _reports("two_uniform_convexity", _pair_spectra(*_pair(X, Y)), p)
     return report
 
 
@@ -362,8 +423,9 @@ def check_distance_lower_bound(A: SpdMatrix, B: SpdMatrix, p) -> InequalityRepor
     this is the one checker whose public domain is wider than its row.
     """
     p = _validate_p(p)
-    spectra = _distance_spectra(A, B, mat_log(B).array)
-    (report,) = CHECKERS["distance_lower_bound"].evaluate(spectra, p)
+    _matching(A, B)
+    spectra = _distance_spectra(_Stack.of(A), _Stack.of(B))
+    (report,) = _reports("distance_lower_bound", spectra, p)
     report.diagnostics["commutator_defect"] = commutator_defect(A, B)
     return report
 
@@ -431,16 +493,8 @@ def check_log_majorization_lemma(H: HermitianMatrix, K: HermitianMatrix) -> Majo
     slack entry is the trace difference and must vanish; the verdict is
     tight everywhere exactly when H and K commute.
     """
-    Ha, Ka = (_hermitian_part(M) for M in _matching(H, K))
-    sum_spectrum = Spectrum(np.linalg.eigvalsh(Ha + Ka))
-    # lambda(e^{K/2} e^H e^{K/2}) = sigma(e^{H/2} e^{K/2})^2; the half-factor
-    # product halves the condition-number amplification of the formed matrix.
-    exp_h, exp_k = (mat_exp(HermitianMatrix._adopt(0.5 * M)).array for M in (Ha, Ka))
-    sing = np.linalg.svd(exp_h @ exp_k, compute_uv=False)
-    if sing[-1] <= 0.0:
-        raise ValueError("exponential product lost rank numerically")
-    bch_spectrum = Spectrum(2.0 * np.log(sing))
-    return weak_majorizes(sum_spectrum, bch_spectrum)
+    slack, tol = _lemma_slack(_lemma_spectra(*_pair(H, K)))
+    return _verdict(slack[0], float(tol[0]))
 
 
 def check_hanner_matrix(X, Y, p) -> InequalityReport:
@@ -453,5 +507,5 @@ def check_hanner_matrix(X, Y, p) -> InequalityReport:
     p_range = CHECKERS["hanner"].p_range
     if p not in p_range:
         raise UnprovenRangeError(f"hanner_matrix: unproven-range: p = {p} outside {p_range}")
-    (report,) = CHECKERS["hanner"].evaluate(_pair_spectra(X, Y), p)
+    (report,) = _reports("hanner", _pair_spectra(*_pair(X, Y)), p)
     return report

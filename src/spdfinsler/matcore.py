@@ -9,6 +9,7 @@ making each vector's largest-magnitude component real and positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,7 +217,7 @@ def _gate(arrays: np.ndarray) -> "EigenDecomposition":
 
 def _require_positive(values: np.ndarray) -> np.ndarray:
     """Spectral values checked 0 < values < inf: the one positivity test."""
-    if not (values.min() > 0.0 and values.max() < np.inf):
+    if values.size and not (values.min() > 0.0 and values.max() < np.inf):
         raise ValueError(_LOST_POSITIVITY)
     return values
 
@@ -313,11 +314,10 @@ def _spectral(A, f, cls):
 
 
 def _function_values(eigs: np.ndarray, f) -> np.ndarray:
-    """f on one spectrum, or on each row of a ``(k, d)`` stack of spectra,
-    checked real and finite.  A stack runs row by row, because a vectorized
-    scalar function need not round a whole stack the same as its rows."""
-    if eigs.ndim == 2:
-        return np.array([_function_values(row, f) for row in eigs]).reshape(eigs.shape)
+    """f on one spectrum, or on a whole ``(k, d)`` stack of spectra at once,
+    checked real and finite; a stack's error names its first failing row.
+    The package's stacked callers (exp, log and real powers) round each row
+    of a stack as they round the row alone, which tests pin."""
     with np.errstate(all="ignore"):
         try:
             vals = np.asarray(f(eigs))
@@ -325,48 +325,95 @@ def _function_values(eigs: np.ndarray, f) -> np.ndarray:
                 raise TypeError
         except (TypeError, ValueError):
             try:
-                vals = np.asarray([f(float(x)) for x in eigs])
+                vals = np.asarray([f(float(x)) for x in eigs.ravel()]).reshape(eigs.shape)
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise MatrixFunctionDomainError(
                     f"scalar function undefined on spectrum {eigs}: {exc}"
                 ) from exc
+    rows = eigs.reshape(-1, eigs.shape[-1])
     if np.iscomplexobj(vals):
-        if np.abs(vals.imag).max() > 0.0:
+        real = ~(np.abs(vals.imag) > 0.0).reshape(rows.shape).any(axis=1)
+        if not real.all():
             raise MatrixFunctionDomainError(
-                f"scalar function produced non-real values on spectrum {eigs}"
+                f"scalar function produced non-real values on spectrum {rows[np.argmin(real)]}"
             )
         vals = vals.real
     vals = vals.astype(np.float64)
-    if not np.all(np.isfinite(vals)):
-        bad = eigs[~np.isfinite(vals)]
+    finite = np.isfinite(vals).reshape(rows.shape)
+    if not finite.all():
+        row = np.argmin(finite.all(axis=1))
         raise MatrixFunctionDomainError(
-            f"scalar function undefined (non-finite) at eigenvalue(s) {bad}"
+            f"scalar function undefined (non-finite) at eigenvalue(s) {rows[row][~finite[row]]}"
         )
     return vals
 
 
 def _gated_exp_stack(bases, log_spectra) -> tuple[np.ndarray, EigenDecomposition]:
     """``U_k diag(exp(l_k)) U_k^H`` through the SPD gate for each basis U_k
-    of a stack and log-spectrum row l_k: the one gated exponential, exp
-    running one spectrum at a time as in ``mat_exp`` and every other step
-    one batched call over the stack.  Returns the arrays and their gate
+    of a stack and log-spectrum row l_k: the one gated exponential, each
+    step one batched call over the stack.  Returns the arrays and their gate
     decompositions; raises the error of the first matrix whose exp is not
     finite and positive or that fails the gate, as a loop over the matrices
     would.
     """
-    values, error = [], None
-    for row in log_spectra:
-        try:
-            values.append(_require_positive(_function_values(row, np.exp)))
-        except ValueError as exc:
-            error = exc
-            break
-    count = len(values)
-    arrays = _assemble(bases[:count], np.reshape(values, (count, bases.shape[-1])))
+    with np.errstate(all="ignore"):
+        values = np.exp(log_spectra)
+    ok = np.isfinite(values).all(axis=1) & (values.min(axis=1) > 0.0)
+    count = len(values) if ok.all() else int(np.argmin(ok))
+    arrays = _assemble(bases[:count], values[:count])
     gate = _gate(arrays)
-    if error is not None:
-        raise error
+    if count < len(values):
+        _require_positive(_function_values(log_spectra[count], np.exp))
     return arrays, gate
+
+
+class _Stack:
+    """SPD matrices along a leading axis, with their decomposition and the
+    powers and logs asked of them cached: the columnar form of SpdMatrix,
+    on which the stacked stages of campaigns and checkers run.  A stack of
+    one matrix broadcasts against a longer stack; ``of(A)`` wraps one matrix,
+    sharing the cached decomposition of an SpdMatrix."""
+
+    __slots__ = ("array", "_dec", "_source", "_cache")
+
+    def __init__(self, array: np.ndarray, dec: EigenDecomposition | None = None):
+        self.array, self._dec, self._source, self._cache = array, dec, None, {}
+
+    @classmethod
+    def of(cls, A) -> "_Stack":
+        if isinstance(A, _Stack):
+            return A
+        stack = cls(as_matrix(A)[None])
+        stack._source = A if isinstance(A, HermitianMatrix) else HermitianMatrix(A)
+        return stack
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def eig(self) -> EigenDecomposition:
+        """The decomposition of every matrix, from one batched eigh."""
+        if self._dec is None:
+            self._dec = (_eigh_array(self.array) if self._source is None
+                         else self._source.eig()[None])
+        return self._dec
+
+    def _spectral(self, key, f, positive: bool) -> np.ndarray:
+        if key not in self._cache:
+            dec = self.eig()
+            vals = _function_values(dec.eigenvalues, f)
+            if positive:
+                _require_positive(vals)
+            self._cache[key] = _assemble(dec.unitary, vals)
+        return self._cache[key]
+
+    def power(self, t: float) -> np.ndarray:
+        """A^t of every matrix, as ``mat_pow`` computes it."""
+        t = float(t)
+        return self._spectral(t, lambda x: x**t, True)
+
+    def log(self) -> np.ndarray:
+        """log A of every matrix, as ``mat_log`` computes it."""
+        return self._spectral("log", np.log, False)
 
 
 def mat_log(A) -> HermitianMatrix:
@@ -424,7 +471,21 @@ def commutator_defect(A, B) -> float:
     Zero exactly when A and B commute; symmetric in its arguments.
     """
     Aa, Ba = _matching(A, B)
-    return float(np.linalg.norm(Aa @ Ba - Ba @ Aa))
+    return _defects(Aa[None], Ba[None])[0]
+
+
+def _defects(X: np.ndarray, Y: np.ndarray) -> list[float]:
+    """||XY - YX||_F for each row pair of two stacks (or a matrix and a
+    stack): one batched pair of products, one 2-D norm per matrix."""
+    return [_frobenius(m) for m in X @ Y - Y @ X]
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """``np.linalg.norm`` of one complex matrix by its own steps, without its
+    dispatch: the root of the dot products of the real and imaginary parts
+    of the entries raveled in memory order."""
+    x = m.ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def is_commuting(A, B, tol: float | None = None) -> bool:

@@ -46,15 +46,9 @@ class Spectrum:
     kind: str = "eigenvalue"
 
     def __post_init__(self):
-        vals = np.sort(np.asarray(self.values, dtype=np.float64))[::-1].copy()
-        if vals.ndim != 1 or vals.size < 1:
+        if np.ndim(self.values) != 1 or np.size(self.values) < 1:
             raise ValueError("spectrum must be a nonempty 1-D real vector")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("spectrum values must be finite")
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.kind == "singular" and vals[-1] < 0.0:
-            raise ValueError("singular spectrum must be nonnegative")
+        vals = _descending(self.values, self.kind)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -63,6 +57,20 @@ class Spectrum:
 
     def __iter__(self):
         return iter(self.values)
+
+
+def _descending(values, kind: str) -> np.ndarray:
+    """A Spectrum's values: each row of a stack (or one vector) sorted
+    descending into a new array, checked finite, and nonnegative when
+    ``kind`` is "singular"."""
+    vals = np.sort(np.asarray(values, dtype=np.float64), axis=-1)[..., ::-1].copy()
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("spectrum values must be finite")
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    if kind == "singular" and (vals[..., -1] < 0.0).any():
+        raise ValueError("singular spectrum must be nonnegative")
+    return vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,14 +142,37 @@ def _validate_p(p) -> float:
     return p
 
 
-def _lp(values: np.ndarray, p: float) -> float:
-    """l^p norm of a real vector, p in [1, inf]."""
+def _lp_rows(values: np.ndarray, p: float) -> list[float]:
+    """l^p norm of each row of a ``(k, n)`` stack, p in [1, inf], as Python
+    floats.  Powers and sums run over the whole stack, which rounds each row
+    as alone; each final root runs on a Python float, as the scalar root
+    rounds.  A row whose power sum overflows to inf, or underflows to 0
+    while the row is nonzero, takes the max-scaled form
+    m * (sum (|x| / m)^p)^(1/p) with m = max |x|, so large finite orders
+    stay finite; every other row keeps the direct form's bits.
+    """
     mags = np.abs(values)
     if math.isinf(p):
-        return float(mags.max())
+        return mags.max(axis=-1).tolist()
     if p == 1.0:
-        return float(mags.sum())
-    return float((mags**p).sum() ** (1.0 / p))
+        return mags.sum(axis=-1).tolist()
+    with np.errstate(over="ignore", under="ignore"):
+        sums = (mags**p).sum(axis=-1).tolist()
+    root = 1.0 / p
+    norms = [total**root for total in sums]
+    if math.inf in sums or 0.0 in sums:
+        for k, total in enumerate(sums):
+            m = float(mags[k].max())
+            if total == math.inf or total == 0.0 and m > 0.0:
+                with np.errstate(under="ignore"):
+                    total = float(((mags[k] / m) ** p).sum())
+                norms[k] = m * total**root
+    return norms
+
+
+def _lp(values: np.ndarray, p: float) -> float:
+    """l^p norm of a real vector, p in [1, inf]."""
+    return _lp_rows(np.reshape(values, (1, -1)), p)[0]
 
 
 def schatten_norm(M, p) -> float:
@@ -154,20 +185,31 @@ def schatten_norm(M, p) -> float:
     return _lp(singular_values(M).values, p)
 
 
+def _prefix_verdicts(slack: np.ndarray, tol) -> tuple[np.ndarray, np.ndarray]:
+    """(weak, tight) of one slack vector, or of each row of a stack with its
+    own tolerance: every prefix slack >= -tol, and the final one within tol."""
+    weak = ~(slack < -np.expand_dims(tol, -1)).any(axis=-1)
+    return weak, np.abs(slack[..., -1]) <= tol
+
+
 def _verdict(slack: np.ndarray, tol: float) -> MajorizationVerdict:
     """Verdict from per-prefix slack (nonnegative means satisfied) at tolerance tol."""
     slack.flags.writeable = False
-    violated = slack < -tol
-    weak = not bool(violated.any())
-    first = None if weak else int(np.argmax(violated))
-    tight = bool(abs(slack[-1]) <= tol)
+    weak, tight = (bool(flag) for flag in _prefix_verdicts(slack, tol))
     return MajorizationVerdict(
         holds=weak and tight,
         weak=weak,
         tight_at_end=tight,
-        first_violation_index=first,
+        first_violation_index=None if weak else int(np.argmax(slack < -tol)),
         slack=slack,
     )
+
+
+def _majorization_slack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix slack cumsum(b) - cumsum(a) of descending spectra, of one pair
+    or row by row over stacks, with the tolerance 1e-10 * (1 + ||b||_1)."""
+    tol = MAJORIZATION_RTOL * (1.0 + np.abs(b).sum(axis=-1))
+    return np.cumsum(b, axis=-1) - np.cumsum(a, axis=-1), tol
 
 
 def weak_majorizes(a, b) -> MajorizationVerdict:
@@ -177,9 +219,8 @@ def weak_majorizes(a, b) -> MajorizationVerdict:
     ``holds`` field answers full majorization (final sums equal).
     Tolerance is ``1e-10 * (1 + ||b||_1)`` per prefix.
     """
-    av, bv = _paired_values(a, b)
-    tol = MAJORIZATION_RTOL * (1.0 + float(np.abs(bv).sum()))
-    return _verdict(np.cumsum(bv) - np.cumsum(av), tol)
+    slack, tol = _majorization_slack(*_paired_values(a, b))
+    return _verdict(slack, float(tol))
 
 
 def _log_prefix_slack(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -222,3 +222,24 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# rng:")
+
+
+def test_large_finite_order_is_not_a_false_violation(tmp_path, capsys):
+    # The power sums of delta_p and the log-Euclidean bound overflow at
+    # p = 1000; their max-scaled form keeps both finite and the gap exact.
+    out = tmp_path / "rows.csv"
+    assert main(["verify", "--dim", "3", "--samples", "20", "--p", "1000",
+                 "--ineq", "distance_lower_bound", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == "verify: 20 rows, 0 unsatisfied"
+    assert main(["gap-study", "--dim", "3", "--p", "1000", "--samples", "3",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == "gap-study: 33 rows, 0 unsatisfied"
+
+
+def test_overflowing_formula_is_one_error_line(tmp_path, capsys):
+    code = main(["verify", "--dim", "2", "--samples", "2", "--p", "1e300",
+                 "--out", str(tmp_path / "rows.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "spdfinsler: error: clarkson_mccarthy: a side of the inequality overflows a float "
+        "at p = 1e+300"]

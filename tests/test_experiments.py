@@ -22,11 +22,11 @@ from spdfinsler import (
     on_unit_sphere,
     project_to_unit_sphere,
 )
+from spdfinsler.matcore import _eigh_array
 from spdfinsler.experiments import (
     CHECKERS,
     CSV_COLUMNS,
-    _from_basis,
-    _gated_exp,
+    _gated,
     _unit_direction,
     gap_scan,
     render_csv,
@@ -136,10 +136,15 @@ class TestEnsembles:
             except ValueError as exc:
                 assert isinstance(exc, error) and re.search(match, str(exc))
                 break
-        with pytest.raises(error, match=match):
-            _gated_exp(stack)
-        with pytest.raises(error, match=match):
-            _from_basis(random_unitary(make_rng(7), 3), [logs[row] for row in rows])
+        dec = _eigh_array(np.array(stack))
+        basis = random_unitary(make_rng(7), 3)
+        spectra = np.array([logs[row] for row in rows])
+        # As the roles of one sample, and as one role of consecutive samples.
+        for bases, values in ((dec.unitary[None], dec.eigenvalues[None]),
+                              (np.array([[basis] * len(rows)]), spectra[None]),
+                              (np.array([[basis]] * len(rows)), spectra[:, None])):
+            with pytest.raises(error, match=match):
+                _gated(bases, values)
 
     def test_sampled_matrices_skip_the_constructor(self, spd_constructions):
         # Sampled matrices and ray points pass the SPD gate in batched calls;
@@ -236,19 +241,21 @@ class TestRunCampaign:
 
     def test_kernel_call_budget(self, kernel_calls):
         # Derived matrices cost no gate eigh; a check brought back fails here.
-        # Each sample's matrices pass exp and the SPD gate in batched calls
-        # (generic a, b, c; near_commuting a, b, then B_eps, C; the Gamma
-        # triple's three), and the triple family's (A, C), (A, B) sandwiches
-        # are stacked, so calls fall below the matrices decomposed.
+        # Each stage is one batched call over a campaign chunk, so 2 and 20
+        # samples make the same calls; per sample, the matrices decomposed
+        # are a, b, c through exp and the SPD gate (near_commuting gates
+        # B_eps in place of the B it replaces), then the families' spectra.
         for config, eigh_calls, eigh_matrices in (
-                (SampleConfig(dim=3), 42, 50),
-                (SampleConfig(dim=3, ensemble="near_commuting", epsilon=0.1), 44, 50),
-                (SampleConfig(dim=3, ensemble="gamma_commuting_triple"), 40, 44)):
-            kernel_calls.update(dict.fromkeys(kernel_calls, 0))
-            run_campaign(config, ALL_INEQUALITIES, P_GRID, 2)
-            assert kernel_calls == {"eigh": eigh_calls, "eigvalsh": 22, "svd": 10,
-                                    "eigh_matrices": eigh_matrices, "eigvalsh_matrices": 24,
-                                    "svd_matrices": 10}
+                (SampleConfig(dim=3), 8, 25),
+                (SampleConfig(dim=3, ensemble="near_commuting", epsilon=0.1), 8, 24),
+                (SampleConfig(dim=3, ensemble="gamma_commuting_triple"), 7, 22)):
+            for count in (2, 20):
+                kernel_calls.update(dict.fromkeys(kernel_calls, 0))
+                run_campaign(config, ALL_INEQUALITIES, P_GRID, count)
+                assert kernel_calls == {"eigh": eigh_calls, "eigvalsh": 8, "svd": 2,
+                                        "eigh_matrices": count * eigh_matrices,
+                                        "eigvalsh_matrices": count * 12,
+                                        "svd_matrices": count * 5}
 
     def test_tolerance_override(self):
         config = SampleConfig(dim=2, seed=16)
