@@ -25,7 +25,7 @@ from .matcore import (
     _eigh_array,
     _gated_exp_stack,
     _hermitian_part,
-    _matching,
+    _operands,
     _Stack,
 )
 from .geodesic import _gamma_defects, _project
@@ -458,6 +458,8 @@ def run_campaign(config: SampleConfig, inequalities: Sequence[str],
             raise ValueError(f"unknown inequality {name!r}; choose from {sorted(CHECKERS)}")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
+    if tol_rel is not None and not math.isfinite(tol_rel):
+        raise ValueError(f"tol_rel must be finite, got {tol_rel}")
     p_list = [float(p) for p in p_values]
     plan = []
     for name in inequalities:
@@ -476,12 +478,16 @@ def run_campaign(config: SampleConfig, inequalities: Sequence[str],
                     lambda items: _campaign_rows(config, items, plan, slots, tol_rel))
 
 
-def _ray_grid(eps_grid: Sequence[float]) -> list[float]:
+def _ray_plan(eps_grid: Sequence[float], p) -> tuple[list[float], list[float]]:
+    """The checked epsilon grid and orders of a gap study."""
     grid = [float(e) for e in eps_grid]
     if (not grid or grid[0] != 0.0 or not math.isfinite(grid[-1])
             or any(not b > a for a, b in zip(grid, grid[1:]))):
         raise ValueError("eps grid must be finite, strictly ascending and start at 0")
-    return grid
+    orders = [_validate_p(q) for q in np.atleast_1d(p)]
+    if not orders:
+        raise ValueError("a gap study needs at least one Schatten order")
+    return grid, orders
 
 
 def _rays(A: _Stack, B: _Stack, grid: list[float], orders: list[float],
@@ -543,18 +549,15 @@ def gap_scan(A: SpdMatrix, B: SpdMatrix, eps_grid: Sequence[float], p, *,
     them: the ray is built once, each step one batched call over its points,
     and every order reads it, with rows in (order, epsilon) order.
     """
-    grid = _ray_grid(eps_grid)
-    orders = [_validate_p(q) for q in np.atleast_1d(p)]
-    _matching(A, B)
-    return _rays(_Stack.of(A), _Stack.of(B), grid, orders, [seed])
+    grid, orders = _ray_plan(eps_grid, p)
+    return _rays(*_operands(A, B), grid, orders, [seed])
 
 
 def _gap_study(config: SampleConfig, count: int, eps_grid: Sequence[float], p) -> ScanTable:
     """``gap-study`` at one dimension: the ray of ``gap_scan`` from each of
     ``count`` base pairs of ``config``, seeded per pair, the rays of a
     chunk of base pairs stacked, rows in (base pair, order, epsilon) order."""
-    grid = _ray_grid(eps_grid)
-    orders = [_validate_p(q) for q in np.atleast_1d(p)]
+    grid, orders = _ray_plan(eps_grid, p)
 
     def rays(items):
         if not items:

@@ -22,16 +22,14 @@ from .matcore import (
     SpdMatrix,
     _Stack,
     _assemble,
-    _eigh_array,
     _frobenius,
     _function_values,
     _hermitian_part,
-    _matching,
+    _operands,
     _require_positive,
-    mat_log,
     mat_pow,
 )
-from .schatten import _lp, _lp_rows, _validate_p, schatten_norm
+from .schatten import _lp_rows, _validate_p, schatten_norm
 
 __all__ = [
     "GeodesicCurve",
@@ -67,51 +65,33 @@ def _descending_logs(w: np.ndarray) -> np.ndarray:
     return np.log(np.ascontiguousarray(w).ravel()[::-1])[::-1].reshape(w.shape)[:, ::-1]
 
 
-def _sandwich_log_eigs(A, B) -> np.ndarray:
-    """log of the eigenvalues of A^{-1/2} B A^{-1/2}, descending, for one SPD
-    matrix B or, row by row, for each matrix of a stack: B a matrix, a
-    ``(k, d, d)`` array or a ``_Stack``, and A an SpdMatrix or a ``_Stack``
-    of one matrix or of one per row of B.
-
-    One eigvalsh and one positivity check serve the whole stack, raising if
-    a sandwich lost positivity.  A matrix equal to its A gives the exact
-    zero spectrum, so delta_p(A, A) is exactly 0 rather than the roundoff of
-    the sandwich.
-    """
-    A = _Stack.of(A)
-    Ba = B.array if isinstance(B, _Stack) else _matching(A.array[0], B, stack=True)[1]
-    stack = Ba.reshape(-1, *Ba.shape[-2:])
-    dim = stack.shape[-1]
-    equal = (stack == A.array).reshape(-1, dim * dim).all(axis=1)
-    logs = np.zeros(equal.shape + (dim,))
+def _sandwich_log_eigs(A: _Stack, B: _Stack) -> np.ndarray:
+    """log of the eigenvalues of A^{-1/2} B A^{-1/2}, descending, for each
+    row of B (A one matrix or one per row), from one eigvalsh (not the
+    mean's eigh: their bits differ), checked positive.  A row equal to its A
+    gives the exact zero spectrum, so delta_p(A, A) is exactly 0."""
+    equal = (B.array == A.array).all(axis=(1, 2))
+    logs = np.zeros(equal.shape + B.array.shape[-1:])
     if not equal.all():
-        w = np.linalg.eigvalsh(_congruence(A.power(-0.5), stack))[~equal]
+        w = np.linalg.eigvalsh(_congruence(A.power(-0.5), B.array))[~equal]
         logs[~equal] = _descending_logs(_require_positive(w))
-    return logs[0] if Ba.ndim == 2 and len(A) == 1 else logs
+    return logs
 
 
-def _log_euclidean_eigs(A, log_B: np.ndarray) -> np.ndarray:
-    """Eigenvalues of log A - log B, whose l^p norm is the log-Euclidean
-    distance, for log B one Hermitian array or, from one batched eigvalsh,
-    each of a ``(k, d, d)`` stack of them (A one matrix or one per row)."""
-    A = _Stack.of(A)
-    w = np.linalg.eigvalsh(A.log() - log_B)
-    return w[0] if log_B.ndim == 2 and len(A) == 1 else w
+def _log_euclidean_eigs(A: _Stack, B: _Stack) -> np.ndarray:
+    """Eigenvalues of log A - log B, for each row of B (A one matrix or one
+    per row): their l^p norm is the log-Euclidean distance."""
+    return np.linalg.eigvalsh(A.log() - B.log())
 
 
 def _weighted_mean(A: _Stack, B: _Stack, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The geodesic point A #_t B of each row pair of two stacks, as arrays
-    and the spectral values of their sandwich power; a row whose B equals A
-    gives A itself."""
-    equal = (B.array == A.array).reshape(len(B), -1).all(axis=1)
-    sqrt_a = A.power(0.5)
-    dec = _eigh_array(_congruence(A.power(-0.5), B.array))
-    _require_positive(dec.eigenvalues[~equal])
-    values = dec.eigenvalues ** float(t)
-    points = _congruence(sqrt_a, _assemble(dec.unitary, values))
-    _require_positive(values[~equal])
-    points[equal] = A.array[equal]
-    return points, values
+    """A #_t B of each row pair of two stacks (see ``GeodesicCurve._points``)."""
+    return object.__new__(GeodesicCurve)._factor(A, B)._points(t)
+
+
+def _radii(U: _Stack, p: float) -> list[float]:
+    """delta_p(U, I) = ||log U||_p of each row, from its spectrum."""
+    return _lp_rows(np.log(U.eig().eigenvalues), p)
 
 
 def _project(A: _Stack, orders) -> tuple[np.ndarray, np.ndarray]:
@@ -127,9 +107,9 @@ def _project(A: _Stack, orders) -> tuple[np.ndarray, np.ndarray]:
                 raise ValueError("cannot project the identity onto the unit sphere (no direction)")
             exponents.append(1.0 / radius)
     count = len(orders)
-    values = _require_positive(_function_values(
-        np.tile(dec.eigenvalues, (count, 1)),
-        lambda eigs: np.array([row**t for row, t in zip(eigs, exponents)])))
+    tiled = np.tile(dec.eigenvalues, (count, 1))
+    values = _require_positive(_function_values(tiled, lambda flat: np.concatenate(
+        [row**t for row, t in zip(flat.reshape(tiled.shape), exponents)])))
     return _assemble(np.tile(dec.unitary, (count, 1, 1)), values), values
 
 
@@ -153,39 +133,56 @@ def _gamma_defects(A: _Stack, B: _Stack, C: _Stack) -> tuple[list[float], list[f
 class GeodesicCurve:
     """The geodesic t -> A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}.
 
-    Factor matrices are cached eagerly at construction, after which the
+    The factorization is taken eagerly at construction, after which the
     curve is immutable.  ``eval`` accepts any real t; values outside [0, 1]
-    extrapolate the geodesic line.
+    extrapolate the geodesic line.  The private methods run on stacks, one
+    geodesic per row; the public ones are their one-row case.
     """
 
-    __slots__ = ("_sqrt_a", "_mid")
+    __slots__ = ("_a", "_sqrt_a", "_mid", "_equal")
 
     def __init__(self, A: SpdMatrix, B: SpdMatrix):
-        _, Ba = _matching(A, B)
-        self._sqrt_a = mat_pow(A, 0.5).array
-        self._mid = HermitianMatrix._adopt(_congruence(mat_pow(A, -0.5).array, Ba))
-        _require_positive(self._mid.eig().eigenvalues)
+        self._factor(*_operands(A, B))
+
+    def _factor(self, A: _Stack, B: _Stack) -> "GeodesicCurve":
+        """The one factorization of the geodesic from each row of A to the
+        row of B: A^{1/2} and the sandwiches M = A^{-1/2} B A^{-1/2},
+        decomposed and checked positive but on the rows where B equals A."""
+        self._equal = (B.array == A.array).all(axis=(1, 2))
+        self._mid = _Stack(_congruence(A.power(-0.5), B.array))
+        _require_positive(self._mid.eig().eigenvalues[~self._equal])
+        self._a, self._sqrt_a = A, A.power(0.5)
+        return self
+
+    def _inner(self, values: np.ndarray) -> np.ndarray:
+        """A^{1/2} f(M) A^{1/2} of each row, for the spectral values f(lambda) of M."""
+        return _congruence(self._sqrt_a, _assemble(self._mid.eig().unitary, values))
+
+    def _points(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The point at t of each row and its M^t's values (A where B equals A)."""
+        values = self._mid.eig().eigenvalues ** float(t)
+        points = self._inner(values)
+        _require_positive(values[~self._equal])
+        points[self._equal] = self._a.array[self._equal]
+        return points, values
 
     @property
     def log_m(self) -> HermitianMatrix:
         """log(A^{-1/2} B A^{-1/2}); its p-norm is delta_p(A, B)."""
-        return mat_log(self._mid)
-
-    def _inner(self, values: np.ndarray) -> np.ndarray:
-        """A^{1/2} f(M) A^{1/2} for the spectral values f(lambda_i) of M."""
-        return _congruence(self._sqrt_a, _assemble(self._mid.eig().unitary, values))
+        return HermitianMatrix._adopt(self._mid.log()[0])
 
     def eval(self, t: float) -> SpdMatrix:
-        """Point on the geodesic at parameter t (SPD for every real t)."""
-        values = self._mid.eig().eigenvalues ** float(t)
-        return SpdMatrix._adopt(self._inner(values), values)
+        """Point on the geodesic at parameter t (SPD for every real t); A
+        itself, bit for bit, when B equals A."""
+        points, values = self._points(t)
+        return SpdMatrix._adopt(points[0], values[0])
 
     __call__ = eval
 
     def derivative(self, t: float) -> HermitianMatrix:
         """Analytic velocity A^{1/2} M^t log(M) A^{1/2} at parameter t."""
         lam = self._mid.eig().eigenvalues
-        return HermitianMatrix._adopt(self._inner(lam ** float(t) * np.log(lam)))
+        return HermitianMatrix._adopt(self._inner(lam ** float(t) * np.log(lam))[0])
 
 
 def weighted_mean(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
@@ -195,9 +192,10 @@ def weighted_mean(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
     extrapolate the geodesic line.  Equal arrays give A itself, so A #_t A
     is exactly A for every real t rather than the roundoff of the curve.
     """
-    if np.array_equal(*_matching(A, B)):
-        return A
-    points, values = _weighted_mean(_Stack.of(A), _Stack.of(B), t)
+    A, B = _operands(A, B)
+    if np.array_equal(A.array, B.array):
+        return A._source
+    points, values = _weighted_mean(A, B, t)
     return SpdMatrix._adopt(points[0], values[0])
 
 
@@ -212,20 +210,19 @@ def delta_p(A: SpdMatrix, B: SpdMatrix, p) -> float:
     Symmetric in (A, B) and zero exactly when A = B.
     """
     p = _validate_p(p)
-    return _lp(_sandwich_log_eigs(A, B), p)
+    return _lp_rows(_sandwich_log_eigs(*_operands(A, B)), p)[0]
 
 
 def delta_p_to_identity(U: SpdMatrix, p) -> float:
     """delta_p(U, I) = ||log U||_p, via the cached spectrum of U."""
     p = _validate_p(p)
-    return _lp(np.log(U.eig().eigenvalues), p)
+    return _radii(*_operands(U), p)[0]
 
 
 def log_euclidean_dist(A: SpdMatrix, B: SpdMatrix, p) -> float:
     """The log-Euclidean lower bound ||log(A) - log(B)||_p."""
     p = _validate_p(p)
-    _matching(A, B)
-    return _lp(_log_euclidean_eigs(A, mat_log(B).array), p)
+    return _lp_rows(_log_euclidean_eigs(*_operands(A, B)), p)[0]
 
 
 def _speed_from_arrays(point: SpdMatrix, velocity: np.ndarray, p: float) -> float:
@@ -301,9 +298,7 @@ def gamma_commute(A: SpdMatrix, B: SpdMatrix, C: SpdMatrix,
     defects are reported; with ``C = I`` the predicate reduces to ordinary
     commuting of A and B.
     """
-    _matching(A, B)
-    _matching(A, C)
-    (defect_product,), (defect_bracket,) = _gamma_defects(*map(_Stack.of, (A, B, C)))
+    (defect_product,), (defect_bracket,) = _gamma_defects(*_operands(A, B, C))
     return GammaCommuteReport(
         defect_product=defect_product,
         defect_bracket=defect_bracket,
@@ -323,5 +318,6 @@ def project_to_unit_sphere(A: SpdMatrix, p) -> SpdMatrix:
     Returns ``A^(1 / ||log A||_p)``, which satisfies the sphere predicate
     up to roundoff.  Raises for A = I, where no direction exists.
     """
-    arrays, values = _project(_Stack.of(A), [_validate_p(p)])
+    p = _validate_p(p)
+    arrays, values = _project(*_operands(A), [p])
     return SpdMatrix._adopt(arrays[0], values[0])

@@ -23,13 +23,11 @@ from .matcore import (
     HermitianMatrix,
     SpdMatrix,
     _Stack,
-    _assemble,
-    _eigh_array,
-    _function_values,
+    _defects,
     _hermitian_part,
     _matching,
+    _operands,
     _require_positive,
-    commutator_defect,
 )
 from .schatten import (
     MajorizationVerdict,
@@ -45,9 +43,8 @@ from .geodesic import (
     _gamma_defects,
     _log_euclidean_eigs,
     _sandwich_log_eigs,
+    _radii,
     _weighted_mean,
-    delta_p_to_identity,
-    on_unit_sphere,
 )
 
 __all__ = [
@@ -179,7 +176,7 @@ def _pair_spectra(X: np.ndarray, Y: np.ndarray) -> dict[str, np.ndarray]:
 def _distance_spectra(A: _Stack, B: _Stack) -> dict[str, np.ndarray]:
     """The "distance" family: the log-spectra behind delta_p(A, B) and
     ||log A - log B||_p for each row of B (A one matrix, or one per row)."""
-    return {"delta_p": _sandwich_log_eigs(A, B), "log_euclidean": _log_euclidean_eigs(A, B.log())}
+    return {"delta_p": _sandwich_log_eigs(A, B), "log_euclidean": _log_euclidean_eigs(A, B)}
 
 
 def _triple_spectra(A: _Stack, B: _Stack, C: _Stack) -> dict[str, np.ndarray]:
@@ -213,8 +210,8 @@ def _lemma_spectra(H: np.ndarray, K: np.ndarray) -> dict[str, np.ndarray]:
     formed matrix."""
     Ha, Ka = _hermitian_part(H), _hermitian_part(K)
     sums = np.linalg.eigvalsh(Ha + Ka)
-    dec = _eigh_array(np.concatenate([0.5 * Ha, 0.5 * Ka]))
-    halves = _assemble(dec.unitary, _require_positive(_function_values(dec.eigenvalues, np.exp)))
+    halves, values = _Stack(np.concatenate([0.5 * Ha, 0.5 * Ka])).apply(np.exp)
+    _require_positive(values)
     sing = np.linalg.svd(halves[:len(Ha)] @ halves[len(Ha):], compute_uv=False)
     if (sing[:, -1] <= 0.0).any():
         raise ValueError("exponential product lost rank numerically")
@@ -372,9 +369,7 @@ def _pair(X, Y) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_triple(name: str, A: SpdMatrix, B: SpdMatrix, C: SpdMatrix, p) -> InequalityReport:
     p = _checked_order(name, p)
-    _matching(A, B)
-    _matching(A, C)
-    stacks = [_Stack.of(M) for M in (A, B, C)]
+    stacks = _operands(A, B, C)
     (report,) = _reports(name, _triple_spectra(*stacks), p)
     (product,), (bracket,) = _gamma_defects(*stacks)
     report.diagnostics.update(gamma_defect_product=product, gamma_defect_bracket=bracket)
@@ -383,14 +378,15 @@ def _check_triple(name: str, A: SpdMatrix, B: SpdMatrix, C: SpdMatrix, p) -> Ine
 
 def _check_sphere(name: str, A: SpdMatrix, B: SpdMatrix, p) -> InequalityReport:
     p = _checked_order(name, p)
-    for label, U in (("A", A), ("B", B)):
-        if not on_unit_sphere(U, p, SPHERE_TOL):
+    stacks = _operands(A, B)
+    for label, U in zip("AB", stacks):
+        radius = _radii(U, p)[0]
+        if not abs(radius - 1.0) <= SPHERE_TOL:
             raise ValueError(
                 f"{label} is off the exponential unit sphere of order {p} by more than "
-                f"{SPHERE_TOL:.0e} (delta_p to identity = {delta_p_to_identity(U, p):.12g})"
+                f"{SPHERE_TOL:.0e} (delta_p to identity = {radius:.12g})"
             )
-    _matching(A, B)
-    (report,) = _reports(name, _sphere_spectra(_Stack.of(A), _Stack.of(B)), p)
+    (report,) = _reports(name, _sphere_spectra(*stacks), p)
     return report
 
 
@@ -423,10 +419,9 @@ def check_distance_lower_bound(A: SpdMatrix, B: SpdMatrix, p) -> InequalityRepor
     this is the one checker whose public domain is wider than its row.
     """
     p = _validate_p(p)
-    _matching(A, B)
-    spectra = _distance_spectra(_Stack.of(A), _Stack.of(B))
-    (report,) = _reports("distance_lower_bound", spectra, p)
-    report.diagnostics["commutator_defect"] = commutator_defect(A, B)
+    A, B = _operands(A, B)
+    (report,) = _reports("distance_lower_bound", _distance_spectra(A, B), p)
+    (report.diagnostics["commutator_defect"],) = _defects(A.array, B.array)
     return report
 
 
@@ -493,7 +488,7 @@ def check_log_majorization_lemma(H: HermitianMatrix, K: HermitianMatrix) -> Majo
     slack entry is the trace difference and must vanish; the verdict is
     tight everywhere exactly when H and K commute.
     """
-    slack, tol = _lemma_slack(_lemma_spectra(*_pair(H, K)))
+    slack, tol = _lemma_slack(_lemma_spectra(*_pair(HermitianMatrix(H), HermitianMatrix(K))))
     return _verdict(slack[0], float(tol[0]))
 
 

@@ -61,12 +61,10 @@ def as_matrix(value) -> np.ndarray:
     return arr
 
 
-def _matching(X, Y, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Entries of two operands that must share one shape; with ``stack``, Y
-    may also be a ``(k, d, d)`` array, a stack of matrices shaped like X."""
-    Xa = as_matrix(X)
-    Ya = Y if stack and isinstance(Y, np.ndarray) and Y.ndim == 3 else as_matrix(Y)
-    if Xa.shape != Ya.shape[-2:]:
+def _matching(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of two operands that must share one shape."""
+    Xa, Ya = as_matrix(X), as_matrix(Y)
+    if Xa.shape != Ya.shape:
         raise ValueError(f"dimension mismatch: {Xa.shape} vs {Ya.shape}")
     return Xa, Ya
 
@@ -149,7 +147,7 @@ class HermitianMatrix:
     def eig(self) -> "EigenDecomposition":
         """Cached eigendecomposition (descending eigenvalues)."""
         if self._eig[0] is None:
-            self._eig[0] = _eigh_array(self._array)
+            self._eig[0] = _eigh_array(self._array[None])[0]
         return self._eig[0]
 
     def frobenius(self) -> float:
@@ -195,16 +193,15 @@ class SpdMatrix(HermitianMatrix):
 
     def __init__(self, entries):
         super().__init__(entries)
-        self._eig[0] = _gate(self._array)
+        self._eig[0] = _gate(self._array[None])[0]
 
 
 def _gate(arrays: np.ndarray) -> "EigenDecomposition":
-    """The SPD gate lambda_min > 1e-10 * lambda_max on one Hermitian array or
-    on each matrix of a stack, from one batched eigh.  Returns the
-    decomposition, or raises the first failing matrix's error, as a
-    per-matrix loop would."""
+    """The SPD gate lambda_min > 1e-10 * lambda_max on each matrix of a
+    ``(k, d, d)`` stack, from one batched eigh.  Returns the decompositions,
+    or raises the first failing matrix's error, as a per-matrix loop would."""
     dec = _eigh_array(arrays)
-    lam = dec.eigenvalues.reshape(-1, arrays.shape[-1])
+    lam = dec.eigenvalues
     passed = (lam[:, 0] > 0.0) & (lam[:, -1] > SPD_EIGENVALUE_FLOOR * lam[:, 0])
     if not passed.all():
         lam_max, lam_min = lam[np.argmin(passed)][[0, -1]]
@@ -245,7 +242,7 @@ class EigenDecomposition:
 
 
 def _eigh_array(arr: np.ndarray) -> EigenDecomposition:
-    """Decomposition of a Hermitian array, or of a stack in one batched call."""
+    """Decomposition of each matrix of a ``(k, d, d)`` Hermitian stack, in one call."""
     try:
         w, v = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
@@ -256,9 +253,8 @@ def _eigh_array(arr: np.ndarray) -> EigenDecomposition:
     w = np.ascontiguousarray(w[..., ::-1])
     v = np.ascontiguousarray(v[..., ::-1])
     # Deterministic phase: make each column's largest-|.| component real
-    # positive.  In a stack, a pivot's index also names its matrix.
-    matrices = () if v.ndim == 2 else (np.arange(len(v))[:, None],)
-    pivots = v[(*matrices, np.argmax(np.abs(v), axis=-2), np.arange(v.shape[-1]))]
+    # positive.  A pivot's index also names its matrix.
+    pivots = v[np.arange(len(v))[:, None], np.argmax(np.abs(v), axis=-2), np.arange(v.shape[-1])]
     mags = np.abs(pivots)
     phases = np.where(mags > 0, pivots / np.where(mags > 0, mags, 1.0), 1.0)
     v = v * phases.conj()[..., None, :]
@@ -307,29 +303,30 @@ def mat_fn(A, f) -> HermitianMatrix:
 
 
 def _spectral(A, f, cls):
-    """f(A) adopted as a ``cls``: the one spectral-function path."""
-    dec = eigh(A)
-    vals = _function_values(dec.eigenvalues, f)
-    return cls._adopt(_assemble(dec.unitary, vals), vals)
+    """f(A) adopted as a ``cls``: the one-row case of ``_Stack.apply``."""
+    arrays, values = _Stack.of(HermitianMatrix(A)).apply(f)
+    return cls._adopt(arrays[0], values[0])
 
 
 def _function_values(eigs: np.ndarray, f) -> np.ndarray:
-    """f on one spectrum, or on a whole ``(k, d)`` stack of spectra at once,
-    checked real and finite; a stack's error names its first failing row.
-    The package's stacked callers (exp, log and real powers) round each row
-    of a stack as they round the row alone, which tests pin."""
+    """f on one spectrum or a ``(k, d)`` stack of them, called once on all the
+    values as one 1-D array (a matrix's own spectrum), checked real and
+    finite; a stack's error names its first failing row.  exp, log and real
+    powers round each value as alone, so a stack's rows keep their bits."""
+    flat = eigs.ravel()
     with np.errstate(all="ignore"):
         try:
-            vals = np.asarray(f(eigs))
-            if vals.shape != eigs.shape:
+            vals = np.asarray(f(flat))
+            if vals.shape != flat.shape:
                 raise TypeError
         except (TypeError, ValueError):
             try:
-                vals = np.asarray([f(float(x)) for x in eigs.ravel()]).reshape(eigs.shape)
+                vals = np.asarray([f(float(x)) for x in flat])
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise MatrixFunctionDomainError(
                     f"scalar function undefined on spectrum {eigs}: {exc}"
                 ) from exc
+    vals = vals.reshape(eigs.shape)
     rows = eigs.reshape(-1, eigs.shape[-1])
     if np.iscomplexobj(vals):
         real = ~(np.abs(vals.imag) > 0.0).reshape(rows.shape).any(axis=1)
@@ -368,11 +365,10 @@ def _gated_exp_stack(bases, log_spectra) -> tuple[np.ndarray, EigenDecomposition
 
 
 class _Stack:
-    """SPD matrices along a leading axis, with their decomposition and the
-    powers and logs asked of them cached: the columnar form of SpdMatrix,
-    on which the stacked stages of campaigns and checkers run.  A stack of
-    one matrix broadcasts against a longer stack; ``of(A)`` wraps one matrix,
-    sharing the cached decomposition of an SpdMatrix."""
+    """Hermitian matrices along a leading axis (SPD but in ``mat_fn`` and
+    ``mat_exp``), with their decomposition and the powers and logs asked of
+    them cached: the one form every private spectral stage takes.  A stack
+    of one matrix broadcasts against a longer stack."""
 
     __slots__ = ("array", "_dec", "_source", "_cache")
 
@@ -380,11 +376,10 @@ class _Stack:
         self.array, self._dec, self._source, self._cache = array, dec, None, {}
 
     @classmethod
-    def of(cls, A) -> "_Stack":
-        if isinstance(A, _Stack):
-            return A
-        stack = cls(as_matrix(A)[None])
-        stack._source = A if isinstance(A, HermitianMatrix) else HermitianMatrix(A)
+    def of(cls, A: HermitianMatrix) -> "_Stack":
+        """A as one row, sharing its decomposition, taken only if asked for."""
+        stack = cls(A.array[None])
+        stack._source = A
         return stack
 
     def __len__(self) -> int:
@@ -397,23 +392,36 @@ class _Stack:
                          else self._source.eig()[None])
         return self._dec
 
-    def _spectral(self, key, f, positive: bool) -> np.ndarray:
-        if key not in self._cache:
-            dec = self.eig()
-            vals = _function_values(dec.eigenvalues, f)
-            if positive:
-                _require_positive(vals)
-            self._cache[key] = _assemble(dec.unitary, vals)
-        return self._cache[key]
+    def apply(self, f) -> tuple[np.ndarray, np.ndarray]:
+        """f(A) of every matrix and its values f(lambda): the one spectral assembly."""
+        dec = self.eig()
+        values = _function_values(dec.eigenvalues, f)
+        return _assemble(dec.unitary, values), values
 
     def power(self, t: float) -> np.ndarray:
         """A^t of every matrix, as ``mat_pow`` computes it."""
         t = float(t)
-        return self._spectral(t, lambda x: x**t, True)
+        if t not in self._cache:
+            arrays, values = self.apply(lambda x: x**t)
+            _require_positive(values)
+            self._cache[t] = arrays
+        return self._cache[t]
 
     def log(self) -> np.ndarray:
         """log A of every matrix, as ``mat_log`` computes it."""
-        return self._spectral("log", np.log, False)
+        if "log" not in self._cache:
+            self._cache["log"] = self.apply(np.log)[0]
+        return self._cache["log"]
+
+
+def _operands(*matrices) -> list[_Stack]:
+    """The SPD operands of a public function, of one shape, as one-row
+    stacks: the one boundary where they enter.  An SpdMatrix passes as it
+    is, anything else through ``SpdMatrix(...)`` and so the SPD gate."""
+    spd = [M if isinstance(M, SpdMatrix) else SpdMatrix(M) for M in matrices]
+    for M in spd[1:]:
+        _matching(spd[0], M)
+    return [_Stack.of(M) for M in spd]
 
 
 def mat_log(A) -> HermitianMatrix:

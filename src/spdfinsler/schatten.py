@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import HermitianMatrix, eigh
+from .matcore import HermitianMatrix, as_matrix, eigh
 
 __all__ = [
     "Spectrum",
@@ -128,10 +128,7 @@ def singular_values(M) -> Spectrum:
     if isinstance(M, HermitianMatrix):
         vals = np.abs(eigh(M).eigenvalues)
     else:
-        arr = np.asarray(M, dtype=np.complex128)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a matrix, got ndim {arr.ndim}")
-        vals = np.linalg.svd(arr, compute_uv=False)
+        vals = np.linalg.svd(as_matrix(M), compute_uv=False)
     return Spectrum(vals, kind="singular")
 
 

@@ -181,6 +181,12 @@ class TestRunCampaign:
         config = SampleConfig(dim=2, seed=0)
         assert run_campaign(config, ["distance_lower_bound"], [2.0], 0) == []
 
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # inf would pass every row and nan fail every row; the CLI rejects both.
+        with pytest.raises(ValueError, match="tol_rel must be finite"):
+            run_campaign(SampleConfig(dim=2), ["distance_lower_bound"], [2.0], 3, tol_rel=tol)
+
     def test_rows_sorted_and_complete(self):
         config = SampleConfig(dim=2, seed=7)
         records = run_campaign(config, ["conde_2uc", "distance_lower_bound"], [1.5, 2.0], 3)
@@ -297,6 +303,8 @@ class TestGapScan:
             gap_scan(a, b, [0.0, 1.0, math.inf], 2.0)
         with pytest.raises(ValueError, match="dimension mismatch"):
             gap_scan(a, random_spd(rng, 3), [0.0, 0.5], 2.0)
+        with pytest.raises(ValueError, match="at least one Schatten order"):
+            gap_scan(a, b, [0.0, 0.5], [])
 
     def test_deterministic(self):
         rng = make_rng(20)

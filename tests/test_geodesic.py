@@ -34,6 +34,17 @@ P_GRID = (1.1, 1.5, 2.0, 3.0, 4.0)
 
 
 class TestWeightedMean:
+    @pytest.mark.parametrize("dim", [2, 3, 5, 16])
+    def test_curve_is_the_mean(self, dim):
+        # One factorization serves both: GeodesicCurve.eval is weighted_mean
+        # bit for bit, and on A = B both give A's exact bits.
+        for index in range(3):
+            s = sample_bundle(SampleConfig(dim=dim, seed=dim), index)
+            curve, flat = GeodesicCurve(s.a, s.b), GeodesicCurve(s.a, s.a)
+            for t in (-0.5, 0.0, 0.3, 0.5, 1.0, 1.5):
+                assert np.array_equal(curve.eval(t).array, weighted_mean(s.a, s.b, t).array)
+                assert np.array_equal(flat.eval(t).array, s.a.array)
+
     def test_same_endpoints(self, witness_pair):
         # A #_t A is A's exact bits, as delta_p(A, A) is exactly 0.
         for a in (witness_pair[0], random_spd(make_rng(1), 5)):

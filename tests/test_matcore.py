@@ -23,7 +23,7 @@ from spdfinsler import (
     mat_sqrt,
 )
 from spdfinsler.geodesic import GeodesicCurve, _sandwich_log_eigs
-from spdfinsler.matcore import _assemble, _eigh_array, _hermitian_part
+from spdfinsler.matcore import _Stack, _assemble, _eigh_array, _hermitian_part
 
 from conftest import make_rng, random_hermitian, random_spd
 
@@ -122,11 +122,12 @@ class TestEigh:
             assert np.array_equal(rebuilt[k], _assemble(one.unitary, one.eigenvalues))
         # So does the stacked sandwich spectrum; its row equal to A is exactly 0.
         spd = _hermitian_part(raw @ raw.conj().mT) + np.eye(dim)
-        a = SpdMatrix(spd[0])
-        logs = _sandwich_log_eigs(a, spd)
+        a = _Stack.of(SpdMatrix(spd[0]))
+        logs = _sandwich_log_eigs(a, _Stack(spd))
         assert logs.shape == (11, dim) and not logs[0].any()
         for k in range(1, 11):
-            assert np.array_equal(logs[k], _sandwich_log_eigs(a, SpdMatrix(spd[k])))
+            one = _sandwich_log_eigs(a, _Stack.of(SpdMatrix(spd[k])))
+            assert one.shape == (1, dim) and np.array_equal(logs[k], one[0])
 
     def test_returns_eigendecomposition(self):
         assert isinstance(eigh(identity(2)), EigenDecomposition)
@@ -189,6 +190,12 @@ class TestMatFn:
         out = mat_fn(a, lambda x: math.sqrt(x) if np.ndim(x) == 0 else (_ for _ in ()).throw(TypeError))
         assert np.allclose(out.array, np.diag([1.0, 2.0]))
 
+    def test_callable_sees_one_spectrum(self):
+        # A matrix function's callable gets the 1-D spectrum, as documented.
+        shapes = []
+        mat_fn(SpdMatrix(np.diag([1.0, 4.0])), lambda x: shapes.append(np.shape(x)) or np.sqrt(x))
+        assert shapes == [(2,)]
+
     def test_basis_independence_under_degeneracy(self):
         # degenerate spectrum: the function of the matrix is still well defined
         a = SpdMatrix(np.eye(3) * 4.0)
@@ -208,15 +215,19 @@ class TestDerivedMatrices:
         assert kernel_calls["eigh"] == 0
 
     def test_lost_positivity_is_one_error(self):
-        # Adopted SPD results, the geodesic's sandwich and delta_p's stacked
-        # sandwich spectra share one positivity test and its message; a
-        # stack row equal to A stays exact and is not tested.
+        # Adopted SPD results, the geodesic factorization's sandwiches and
+        # delta_p's stacked sandwich spectra share one positivity test and
+        # its message; a stack row equal to A stays exact and is not tested.
         indefinite = np.diag([1.0, -1.0]).astype(np.complex128)
+        identity_rows, derived = _Stack.of(identity(2)), _Stack(np.array([np.eye(2), indefinite]))
         for derive in (lambda: SpdMatrix._adopt(indefinite, np.array([1.0, -1.0])),
-                       lambda: GeodesicCurve(identity(2), indefinite),
-                       lambda: _sandwich_log_eigs(identity(2), np.array([np.eye(2), indefinite]))):
+                       lambda: object.__new__(GeodesicCurve)._factor(identity_rows, derived),
+                       lambda: _sandwich_log_eigs(identity_rows, derived)):
             with pytest.raises(ValueError, match="derived matrix lost positivity"):
                 derive()
+        # A caller's indefinite operand is stopped at the boundary by the gate.
+        with pytest.raises(ValueError, match="not safely positive definite"):
+            GeodesicCurve(identity(2), indefinite)
 
     def test_condition_not_gated(self):
         square = mat_pow(SpdMatrix(np.diag([1.0, 1e-6])), 2.0)
