@@ -23,6 +23,7 @@ from .matcore import (
     _assemble,
     _defects,
     _eigh_array,
+    _frobenius,
     _gated_exp_stack,
     _hermitian_part,
     _operands,
@@ -126,22 +127,32 @@ def _rng_for(config: SampleConfig, index: int) -> np.random.Generator:
     return np.random.default_rng(mix_seed(config.seed, index))
 
 
-def _random_hermitian(rng: np.random.Generator, dim: int, sigma: float) -> np.ndarray:
-    g = sigma * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return _hermitian_part(g)
+def _normals(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """The real and imaginary parts of one complex Gaussian matrix, ``(2, d, d)``."""
+    return rng.standard_normal((2, dim, dim))
 
 
-def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+def _hermitians(normals: np.ndarray, sigma: float) -> np.ndarray:
+    """The Hermitian part of sigma (n1 + i n2) for each ``(2, d, d)`` pair of
+    normal matrices along the last three axes of a stack."""
+    return _hermitian_part(sigma * (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]))
+
+
+def _unitaries(normals: np.ndarray) -> np.ndarray:
+    """The random unitary of each ``(2, d, d)`` pair of normal matrices of a
+    stack: the Q factor of (n1 + i n2) / sqrt 2, its column phases fixed by
+    R's diagonal, from one batched qr."""
+    g = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0)
     q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
-def _unit_direction(rng: np.random.Generator, dim: int) -> HermitianMatrix:
-    """A random Hermitian direction of unit Frobenius norm."""
-    direction = HermitianMatrix._adopt(_random_hermitian(rng, dim, 1.0))
-    return HermitianMatrix._adopt(direction.array / direction.frobenius())
+def _directions(normals: np.ndarray) -> np.ndarray:
+    """The random Hermitian direction of unit Frobenius norm of each pair of
+    normal matrices of a stack."""
+    directions = _hermitians(normals, 1.0)
+    return directions / _frobenius(directions)[:, None, None]
 
 
 def _random_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -156,32 +167,31 @@ def _random_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _draw(config: SampleConfig, index: int) -> tuple:
-    """One sample's random ingredients, in its ensemble's fixed draw order:
-    Hermitian logs, a basis (unitary, or invertible for the Gamma triple)
-    with log-spectra, and the near_commuting direction."""
+    """One sample's random numbers, in its ensemble's fixed draw order: the
+    normal matrices of its Hermitian logs, of its unitary basis and of the
+    near_commuting direction (each ``(2, d, d)``, finished per chunk by
+    ``_sample_stacks``), log-spectra rows, and the Gamma triple's invertible
+    basis, whose condition guard decides how much of the stream it uses."""
     rng = _rng_for(config, index)
     dim, sigma = config.dim, config.spread
 
     def spectra(count: int) -> np.ndarray:
-        return np.array([sigma * rng.standard_normal(dim) for _ in range(count)])
-
-    def hermitian() -> np.ndarray:
-        return _random_hermitian(rng, dim, sigma)
+        return sigma * rng.standard_normal((count, dim))
 
     if config.ensemble == "generic":
-        return hermitian(), hermitian(), hermitian()
+        return (rng.standard_normal((3, 2, dim, dim)),)
     if config.ensemble == "commuting_pair":
-        return _random_unitary(rng, dim), spectra(2), hermitian()
+        return _normals(rng, dim), spectra(2), _normals(rng, dim)
     if config.ensemble == "commuting_triple":
-        return _random_unitary(rng, dim), spectra(3)
+        return _normals(rng, dim), spectra(3)
     if config.ensemble == "gamma_commuting_triple":
         return _random_invertible(rng, dim), spectra(3)
-    return _random_unitary(rng, dim), spectra(2), _unit_direction(rng, dim).array, hermitian()
+    return _normals(rng, dim), spectra(2), _normals(rng, dim), _normals(rng, dim)
 
 
-# Samples stacked one row each: the gated SPD triple (a, b, c ``_Stack``s)
-# and the Hermitian logs of (a, b).  A named tuple: a dataclass would add
-# about 1 ms to every import.
+# Samples stacked one row each: the gated SPD triple (a, b, c ``_Stack``s;
+# c is None when only the pair is built) and the Hermitian logs of (a, b).
+# A named tuple: a dataclass would add about 1 ms to every import.
 _Samples = namedtuple("_Samples", "a b c log_a log_b")
 
 
@@ -199,35 +209,43 @@ def _gated(bases: np.ndarray, log_spectra: np.ndarray) -> list[_Stack]:
             for k in range(roles)]
 
 
-def _sample_stacks(config: SampleConfig, draws: list[tuple]) -> _Samples:
+def _sample_stacks(config: SampleConfig, draws: list[tuple], roles: int = 3) -> _Samples:
     """The samples of ``draws`` (from ``_draw``), every step one batched
-    call over all of them: eigh of the drawn logs, exp and the SPD gate."""
+    call over all of them: the bases' qr, the Hermitian parts, eigh of the
+    logs, exp and the SPD gate.  With ``roles = 2`` only a and b are built
+    and gated (c is None): C's normals are drawn but not used."""
+    dim, sigma = config.dim, config.spread
     columns = [np.array(column) for column in zip(*draws)]
+
+    def samples(stacks, logs):
+        return _Samples(*stacks, *[None] * (3 - roles), *logs)
+
     if config.ensemble == "generic":
-        logs = np.stack(columns, axis=1)
-        dec = _eigh_array(logs.reshape(-1, config.dim, config.dim))
-        a, b, c = _gated(dec.unitary, dec.eigenvalues.reshape(logs.shape[:-1]))
-        return _Samples(a, b, c, columns[0], columns[1])
-    basis, spectra = columns[:2]
+        logs = _hermitians(columns[0][:, :roles], sigma)
+        dec = _eigh_array(logs.reshape(-1, dim, dim))
+        return samples(_gated(dec.unitary, dec.eigenvalues.reshape(logs.shape[:-1])),
+                       [np.ascontiguousarray(logs[:, k]) for k in range(2)])
+    spectra = columns[1]
+    basis = columns[0] if config.ensemble == "gamma_commuting_triple" else _unitaries(columns[0])
     logs = [_assemble(basis, spectra[:, k]) for k in range(2)]
     if config.ensemble in ("commuting_triple", "gamma_commuting_triple"):
-        a, b, c = _gated(np.repeat(basis[:, None], 3, axis=1), spectra)
+        stacks = _gated(np.repeat(basis[:, None], roles, axis=1), spectra[:, :roles])
         if config.ensemble == "gamma_commuting_triple":
-            logs = [a.log(), b.log()]
-        return _Samples(a, b, c, *logs)
+            logs = [stack.log() for stack in stacks[:2]]
+        return samples(stacks, logs)
     # commuting_pair, and near_commuting whose B is perturbed along its
     # unit direction by epsilon: only the B it keeps is gated.
-    derived = [columns[-1]]
+    derived = [_hermitians(columns[-1], sigma)] if roles == 3 else []
     if config.ensemble == "near_commuting" and config.epsilon != 0.0:
-        logs[1] = logs[1] + config.epsilon * columns[2]
+        logs[1] = logs[1] + config.epsilon * _directions(columns[2])
         derived.insert(0, logs[1])
-    dec = _eigh_array(np.stack(derived, axis=1).reshape(-1, config.dim, config.dim))
     count = len(derived)
-    bases = np.concatenate([np.repeat(basis[:, None], 3 - count, axis=1),
-                            dec.unitary.reshape(len(basis), count, config.dim, config.dim)], axis=1)
-    values = np.concatenate([spectra[:, :3 - count],
-                             dec.eigenvalues.reshape(len(basis), count, config.dim)], axis=1)
-    return _Samples(*_gated(bases, values), *logs)
+    bases, values = np.repeat(basis[:, None], roles - count, axis=1), spectra[:, :roles - count]
+    if derived:
+        dec = _eigh_array(np.stack(derived, axis=1).reshape(-1, dim, dim))
+        bases = np.concatenate([bases, dec.unitary.reshape(len(basis), count, dim, dim)], axis=1)
+        values = np.concatenate([values, dec.eigenvalues.reshape(len(basis), count, dim)], axis=1)
+    return samples(_gated(bases, values), logs)
 
 
 def sample_bundle(config: SampleConfig, index: int) -> SampleBundle:
@@ -490,6 +508,13 @@ def _ray_plan(eps_grid: Sequence[float], p) -> tuple[list[float], list[float]]:
     return grid, orders
 
 
+def _ray_directions(seeds: list[int], dim: int) -> np.ndarray:
+    """The unit Hermitian direction of the ray of each seed, drawn from the
+    seed's own generator."""
+    return _directions(np.array([_normals(np.random.default_rng(mix_seed(seed, 0)), dim)
+                                 for seed in seeds]))
+
+
 def _rays(A: _Stack, B: _Stack, grid: list[float], orders: list[float],
           seeds: list[int]) -> ScanTable:
     """The gap-study rows of the ray from each row pair (A, B), its
@@ -497,24 +522,23 @@ def _rays(A: _Stack, B: _Stack, grid: list[float], orders: list[float],
     step one batched call over all of them, rows in (pair, order, epsilon)
     order."""
     count, width, dim = len(B), len(grid), B.array.shape[-1]
-    directions = np.array([_unit_direction(np.random.default_rng(mix_seed(seed, 0)), dim).array
-                           for seed in seeds])
     steps = np.array(grid[1:])[:, None, None]
-    ray = _eigh_array((B.log()[:, None] + steps * directions[:, None]).reshape(-1, dim, dim))
+    ray = _eigh_array((B.log()[:, None] + steps * _ray_directions(seeds, dim)[:, None])
+                      .reshape(-1, dim, dim))
     arrays, gate = _gated_exp_stack(ray.unitary, ray.eigenvalues)
 
     def with_base(base, rest):
         rest = rest.reshape(count, width - 1, *base.shape[1:])
         return np.concatenate([base[:, None], rest], axis=1).reshape(-1, *base.shape[1:])
 
-    def repeated(stack):
-        return np.repeat(stack, width, axis=0)
-
-    base, start = B.eig(), A.eig()
+    base = B.eig()
     points = _Stack(with_base(B.array, arrays), EigenDecomposition(
         with_base(base.eigenvalues, gate.eigenvalues), with_base(base.unitary, gate.unitary)))
-    A = _Stack(repeated(A.array), EigenDecomposition(repeated(start.eigenvalues),
-                                                     repeated(start.unitary)))
+    # The distance family's factors of A, A^{-1/2} and log A, once per base
+    # pair, repeated over the pair's ray.
+    A.power(-0.5)
+    A.log()
+    A = A.repeat(width)
     spectra = _distance_spectra(A, points)
     defects = _defects(A.array, points.array)
     reports = [_evaluate("distance_lower_bound", _inputs("distance", spectra, q), q)[0]
@@ -562,7 +586,7 @@ def _gap_study(config: SampleConfig, count: int, eps_grid: Sequence[float], p) -
     def rays(items):
         if not items:
             return ScanTable()
-        samples = _sample_stacks(config, [draw for _, draw in items])
+        samples = _sample_stacks(config, [draw for _, draw in items], roles=2)
         return _rays(samples.a, samples.b, grid, orders,
                      [mix_seed(config.seed, index) for index, _ in items])
 

@@ -115,7 +115,7 @@ def _project(A: _Stack, orders) -> tuple[np.ndarray, np.ndarray]:
 
 def _gamma_defects(A: _Stack, B: _Stack, C: _Stack) -> tuple[list[float], list[float]]:
     """The normalized defects of ``gamma_commute`` for each row triple,
-    each norm one Frobenius norm per matrix."""
+    each norm one stacked Frobenius norm."""
     b_inv = B.power(-1.0)
     product = A.array @ b_inv @ C.array
     S = A.power(-0.5)
@@ -124,9 +124,8 @@ def _gamma_defects(A: _Stack, B: _Stack, C: _Stack) -> tuple[list[float], list[f
     asymmetry, bracket = product - product.conj().mT, X @ Y - Y @ X
     norm = _frobenius
     return (
-        [norm(asymmetry[k]) / (norm(A.array[k]) * norm(b_inv[k]) * norm(C.array[k]))
-         for k in range(len(X))],
-        [norm(bracket[k]) / (norm(X[k]) * norm(Y[k])) for k in range(len(X))],
+        (norm(asymmetry) / (norm(A.array) * norm(b_inv) * norm(C.array))).tolist(),
+        (norm(bracket) / (norm(X) * norm(Y))).tolist(),
     )
 
 
@@ -166,10 +165,15 @@ class GeodesicCurve:
         points[self._equal] = self._a.array[self._equal]
         return points, values
 
+    def _zero_where_equal(self, arrays: np.ndarray) -> np.ndarray:
+        """The arrays with exact zeros on the rows where B equals A."""
+        return np.where(self._equal[:, None, None], 0.0, arrays)
+
     @property
     def log_m(self) -> HermitianMatrix:
-        """log(A^{-1/2} B A^{-1/2}); its p-norm is delta_p(A, B)."""
-        return HermitianMatrix._adopt(self._mid.log()[0])
+        """log(A^{-1/2} B A^{-1/2}); its p-norm is delta_p(A, B).  Exactly
+        zero when B equals A."""
+        return HermitianMatrix._adopt(self._zero_where_equal(self._mid.log())[0])
 
     def eval(self, t: float) -> SpdMatrix:
         """Point on the geodesic at parameter t (SPD for every real t); A
@@ -180,9 +184,11 @@ class GeodesicCurve:
     __call__ = eval
 
     def derivative(self, t: float) -> HermitianMatrix:
-        """Analytic velocity A^{1/2} M^t log(M) A^{1/2} at parameter t."""
+        """Analytic velocity A^{1/2} M^t log(M) A^{1/2} at parameter t;
+        exactly zero when B equals A."""
         lam = self._mid.eig().eigenvalues
-        return HermitianMatrix._adopt(self._inner(lam ** float(t) * np.log(lam))[0])
+        velocity = self._inner(lam ** float(t) * np.log(lam))
+        return HermitianMatrix._adopt(self._zero_where_equal(velocity)[0])
 
 
 def weighted_mean(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:

@@ -9,7 +9,6 @@ making each vector's largest-magnitude component real and positive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -413,6 +412,14 @@ class _Stack:
             self._cache["log"] = self.apply(np.log)[0]
         return self._cache["log"]
 
+    def repeat(self, count: int) -> "_Stack":
+        """Each matrix repeated ``count`` times in place, with the powers and
+        logs computed so far: a factor asked of the stack before the repeat
+        is computed once per matrix, not once per copy."""
+        stack = _Stack(np.repeat(self.array, count, axis=0))
+        stack._cache = {key: np.repeat(value, count, axis=0) for key, value in self._cache.items()}
+        return stack
+
 
 def _operands(*matrices) -> list[_Stack]:
     """The SPD operands of a public function, of one shape, as one-row
@@ -457,14 +464,17 @@ def conjugate(X, A) -> SpdMatrix:
     ----------
     X : array-like, shape (dim, dim)
         Square matrix with 2-norm condition estimate below 1e12.
-    A : SpdMatrix
+    A : SpdMatrix or array-like
+        An array passes the Hermitian check and the SPD gate.
 
     Raises
     ------
     ValueError
-        If X is singular or too ill-conditioned, or dimensions mismatch.
+        If X is singular or too ill-conditioned, dimensions mismatch, or an
+        array A is not Hermitian or fails the gate.
     """
-    Xa, Aa = _matching(X, A)
+    (A,) = _operands(A)
+    Xa, Aa = _matching(X, A.array[0])
     cond = np.linalg.cond(Xa)
     if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
         raise ValueError(
@@ -484,16 +494,19 @@ def commutator_defect(A, B) -> float:
 
 def _defects(X: np.ndarray, Y: np.ndarray) -> list[float]:
     """||XY - YX||_F for each row pair of two stacks (or a matrix and a
-    stack): one batched pair of products, one 2-D norm per matrix."""
-    return [_frobenius(m) for m in X @ Y - Y @ X]
+    stack): one batched pair of products and one stacked norm."""
+    return _frobenius(X @ Y - Y @ X).tolist()
 
 
-def _frobenius(m: np.ndarray) -> float:
-    """``np.linalg.norm`` of one complex matrix by its own steps, without its
-    dispatch: the root of the dot products of the real and imaginary parts
-    of the entries raveled in memory order."""
-    x = m.ravel(order="K")
-    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each matrix of a row-major ``(k, d, d)`` complex
+    stack (every stack the package builds), by its own steps: the root of
+    the dot products of the real and imaginary parts of each matrix's
+    entries raveled.  ``np.vecdot``'s float64 loop and ``ndarray.dot`` call
+    the same strided BLAS dot, so each row keeps the bits of its own norm;
+    ``sum`` and ``einsum`` would add in another order."""
+    x = stack.reshape(len(stack), -1)
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
 def is_commuting(A, B, tol: float | None = None) -> bool:

@@ -20,6 +20,7 @@ from spdfinsler import (
     check_distance_lower_bound,
     check_log_majorization_lemma,
     check_sphere_2uc,
+    conjugate,
     delta_p,
     delta_p_to_identity,
     gamma_commute,
@@ -47,6 +48,7 @@ ENTRY_POINTS = {
     "gap_scan": (lambda a, b: gap_scan(a, b, [0.0, 0.1], [1.5, 2.0]), "a b"),
     "delta_p_to_identity": (lambda a: delta_p_to_identity(a, 2.0), "a"),
     "on_unit_sphere": (lambda a: on_unit_sphere(a, 1.5), "ua"),
+    "conjugate": (lambda a: conjugate(np.diag([2.0, 1.0]), a), "a"),
 }
 
 ILL_CONDITIONED = np.diag([1.0, 1e-14])

@@ -186,6 +186,16 @@ def test_gap_study_runs_every_order(tmp_path, capsys):
     assert capsys.readouterr().err == "gap-study: 4 rows, 0 unsatisfied\n"
 
 
+def test_gap_study_gates_only_the_base_pair(tmp_path, capsys):
+    # C of a commuting_pair sample fails the gate at d = 48 (lambda_min =
+    # 2.63e-6, lambda_max = 3.26e5 at seed 0); gap-study never builds it.
+    out = tmp_path / "gaps.csv"
+    assert main(["gap-study", "--dim", "48", "--samples", "1", "--out", str(out)]) == 0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert len(lines) == 12
+    assert capsys.readouterr().err == "gap-study: 11 rows, 0 unsatisfied\n"
+
+
 def test_write_failure_exits_one(tmp_path, capsys):
     code = main(["verify", "--samples", "1", "--dim", "2",
                  "--out", str(tmp_path / "missing_dir" / "x.csv")])

@@ -31,12 +31,27 @@ from spdfinsler import (
     mat_pow,
     project_to_unit_sphere,
 )
-from spdfinsler.experiments import CHECKERS, render_csv, run_campaign, sample_bundle
-from spdfinsler.geodesic import _descending_logs, _project, _weighted_mean
-from spdfinsler.matcore import _Stack, _frobenius, _function_values
+from spdfinsler.experiments import (
+    CHECKERS,
+    _draw,
+    _sample_stacks,
+    mix_seed,
+    render_csv,
+    run_campaign,
+    sample_bundle,
+)
+from spdfinsler.geodesic import _descending_logs, _gamma_defects, _project, _weighted_mean
+from spdfinsler.matcore import (
+    _assemble,
+    _eigh_array,
+    _frobenius,
+    _function_values,
+    _gated_exp_stack,
+    _Stack,
+)
 from spdfinsler.schatten import _lp, _lp_rows
 
-from conftest import make_rng
+from conftest import make_rng, random_unitary
 
 P_GRID = [1.1, 1.5, 2.0, 3.0, 4.0]
 
@@ -132,8 +147,9 @@ LOGS = {"ok": [0.0, 0.1, -0.2], "overflow": [800.0, 0.0, 0.0], "gate": [0.0, 0.0
 
 
 def _crafted(monkeypatch, rows):
-    """commuting_triple samples whose C has the given log-spectrum kinds."""
-    basis = np.eye(3, dtype=np.complex128)
+    """commuting_triple samples whose C has the given log-spectrum kinds,
+    drawn with the normals (I, 0) that give the identity basis."""
+    basis = np.array([np.eye(3), np.zeros((3, 3))])
 
     def draw(config, index):
         if rows[index] == "draw":
@@ -169,7 +185,7 @@ class TestErrorOrder:
         # Sample 0 passes the gate but its sphere projection fails (a = I
         # has no direction); sample 1 fails the gate.  The loop order
         # raises sample 0's error.
-        basis = np.eye(2, dtype=np.complex128)
+        basis = np.array([np.eye(2), np.zeros((2, 2))])  # normals of the identity basis
         spectra = [np.array([[0.0, 0.0], [0.3, -0.1], [0.2, 0.1]]),
                    np.array([[0.1, 0.0], [0.3, -0.1], [0.0, -30.0]])]
         monkeypatch.setattr(experiments, "_draw", lambda config, index: (basis, spectra[index]))
@@ -217,8 +233,8 @@ class TestStackedStages:
     def test_frobenius_and_lp_rows(self, dim):
         rng = make_rng(dim + 1)
         stack = rng.standard_normal((30, dim, dim)) + 1j * rng.standard_normal((30, dim, dim))
-        for m in stack:
-            assert _frobenius(m) == float(np.linalg.norm(m))
+        for m, norm in zip(stack, _frobenius(stack)):
+            assert norm == float(np.linalg.norm(m))
         values = rng.standard_normal((30, dim))
         for p in (1.0, 1.1, 2.0, 3.0, math.inf):
             norms = _lp_rows(values, p)
@@ -263,6 +279,93 @@ class TestStackedStages:
         for k, m in enumerate(raw):
             assert np.array_equal(sing[k], np.linalg.svd(m, compute_uv=False))
             assert traces[k] == np.trace(m)
+
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 16, 32])
+    def test_frobenius_of_defect_stacks(self, dim):
+        # The stacked norm on the commutator and Gamma-defect stacks of a
+        # chunk, and both defects, against np.linalg.norm one matrix at a time.
+        config = SampleConfig(dim=dim, ensemble="near_commuting", epsilon=0.3, seed=dim)
+        samples = _sample_stacks(config, [_draw(config, i) for i in range(6)])
+        A, B, C = (m.array for m in (samples.a, samples.b, samples.c))
+        b_inv, S = samples.b.power(-1.0), samples.a.power(-0.5)
+        product = A @ b_inv @ C
+        X, Y = S @ B @ S, S @ C @ S
+        asymmetry, bracket = product - product.conj().mT, X @ Y - Y @ X
+        for stack in (A @ B - B @ A, asymmetry, bracket, A, b_inv, C, X, Y):
+            for m, norm in zip(stack, _frobenius(stack)):
+                assert norm == float(np.linalg.norm(m))
+        norm = np.linalg.norm
+        products, brackets = _gamma_defects(samples.a, samples.b, samples.c)
+        for k in range(len(A)):
+            assert products[k] == float(norm(asymmetry[k])) / (
+                float(norm(A[k])) * float(norm(b_inv[k])) * float(norm(C[k])))
+            assert brackets[k] == float(norm(bracket[k])) / (
+                float(norm(X[k])) * float(norm(Y[k])))
+
+
+def _per_sample_logs(config, index):
+    """The Hermitian logs of one sample's a, b and c (None where c is not
+    a log's exp), by the per-sample steps: one qr, one Hermitian part and
+    one unit direction per draw, from the sample's own generator."""
+    rng = np.random.default_rng(mix_seed(config.seed, index))
+    dim, sigma = config.dim, config.spread
+
+    def hermitian(scale):
+        g = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        return 0.5 * (g + g.conj().T)
+
+    if config.ensemble == "generic":
+        return hermitian(sigma), hermitian(sigma), hermitian(sigma)
+    basis = random_unitary(rng, dim)
+    roles = 3 if config.ensemble == "commuting_triple" else 2
+    spectra = [sigma * rng.standard_normal(dim) for _ in range(roles)]
+    logs = [_assemble(basis, values) for values in spectra]
+    if config.ensemble == "commuting_triple":
+        return logs[0], logs[1], None
+    if config.ensemble == "near_commuting":
+        direction = hermitian(1.0)
+        logs[1] = logs[1] + config.epsilon * (direction / float(np.linalg.norm(direction)))
+    return logs[0], logs[1], hermitian(sigma)
+
+
+SAMPLER_CONFIGS = [SampleConfig(dim=dim, ensemble=ensemble, seed=dim, epsilon=epsilon)
+                   for dim in (2, 3, 5, 16) for ensemble in ENSEMBLES
+                   for epsilon in ((0.0, 0.3) if ensemble == "near_commuting" else (0.0,))]
+SAMPLER_CONFIGS.append(SampleConfig(dim=32, ensemble="near_commuting", seed=32, epsilon=0.3))
+
+
+class TestBatchedSampler:
+    """The sampler draws per sample and finishes per chunk: the bases' qr,
+    the Hermitian parts and the unit directions are one batched call each."""
+
+    @pytest.mark.parametrize("config", SAMPLER_CONFIGS,
+                             ids=lambda c: f"{c.ensemble}-d{c.dim}-eps{c.epsilon}")
+    def test_chunk_equals_each_sample_bundle(self, config):
+        samples = _sample_stacks(config, [_draw(config, index) for index in range(7)])
+        for index in range(7):
+            bundle = sample_bundle(config, index)
+            for stack, matrix in zip(samples[:3], (bundle.a, bundle.b, bundle.c)):
+                dec = matrix.eig()
+                assert np.array_equal(stack.array[index], matrix.array)
+                assert np.array_equal(stack.eig().eigenvalues[index], dec.eigenvalues)
+                assert np.array_equal(stack.eig().unitary[index], dec.unitary)
+            assert np.array_equal(samples.log_a[index], bundle.log_a.array)
+            assert np.array_equal(samples.log_b[index], bundle.log_b.array)
+
+    @pytest.mark.parametrize("config", [c for c in SAMPLER_CONFIGS
+                                        if c.ensemble != "gamma_commuting_triple"],
+                             ids=lambda c: f"{c.ensemble}-d{c.dim}-eps{c.epsilon}")
+    def test_chunk_equals_per_sample_steps(self, config):
+        samples = _sample_stacks(config, [_draw(config, index) for index in range(7)])
+        for index in range(7):
+            log_a, log_b, log_c = _per_sample_logs(config, index)
+            assert np.array_equal(samples.log_a[index], log_a)
+            assert np.array_equal(samples.log_b[index], log_b)
+            if log_c is not None:
+                dec = _eigh_array(log_c[None])
+                assert np.array_equal(samples.c.array[index],
+                                      _gated_exp_stack(dec.unitary, dec.eigenvalues)[0][0])
 
 
 def test_large_order_error_names_checker_and_order():

@@ -26,8 +26,9 @@ from spdfinsler.matcore import _eigh_array
 from spdfinsler.experiments import (
     CHECKERS,
     CSV_COLUMNS,
+    _gap_study,
     _gated,
-    _unit_direction,
+    _ray_directions,
     gap_scan,
     render_csv,
     run_campaign,
@@ -321,7 +322,7 @@ class TestGapScan:
         bundle = sample_bundle(SampleConfig(dim=dim, ensemble="commuting_pair", seed=dim), 0)
         a, b = bundle.a, bundle.b
         grid = [0.0, 0.1, 0.25, 0.5, 1.0]
-        direction = _unit_direction(np.random.default_rng(mix_seed(dim, 0)), dim).array
+        direction = _ray_directions([dim], dim)[0]
         log_b = mat_log(b).array
         points = [b] + [SpdMatrix(mat_exp(log_b + eps * direction)) for eps in grid[1:]]
         records = gap_scan(a, b, grid, p, seed=dim)
@@ -344,6 +345,19 @@ class TestGapScan:
                                     "eigvalsh_matrices": 2 * points, "svd_matrices": 0}
             assert render_csv(records) == render_csv(
                 [r for p in orders for r in gap_scan(a, b, grid, p, seed=24)])
+
+    def test_gap_study_builds_only_the_base_pair(self, kernel_calls):
+        # Per base pair: the gate of a and b, then one eigh of log B + eps K
+        # and one gate of B_eps per nonzero eps, in three calls per chunk.
+        # C is drawn but never built: no eigh of its log, no gate, two
+        # matrices fewer per pair than a campaign sample's.
+        config = SampleConfig(dim=3, ensemble="commuting_pair", seed=25)
+        grid = [0.0, 0.1, 0.5, 1.0]
+        for count in (1, 6):
+            kernel_calls.update(dict.fromkeys(kernel_calls, 0))
+            _gap_study(config, count, grid, [2.0])
+            assert (kernel_calls["eigh"], kernel_calls["eigh_matrices"]) == (
+                3, count * (2 + 2 * (len(grid) - 1)))
 
     @pytest.mark.parametrize("grid, error, match", [
         ([0.0, 1.0, 50.0], ValueError, "not safely positive definite"),

@@ -52,6 +52,17 @@ class TestWeightedMean:
             for t in (-0.5, 0.0, 0.3, 1.0, 2.0):
                 assert np.array_equal(weighted_mean(a, a, t).array, a.array)
 
+    def test_constant_curve_has_exact_zero_log_and_velocity(self, witness_pair):
+        # log_m and the velocity are exact zeros on A = A, as eval is A's
+        # bits, not the sandwich's roundoff (4.4e-16 and 8.7e-16 on the witness).
+        a = witness_pair[0]
+        curve = GeodesicCurve(a, SpdMatrix(np.array(a.array)))
+        assert not curve.log_m.array.any()
+        for t in (-0.5, 0.0, 0.3, 1.0, 2.0):
+            assert not curve.derivative(t).array.any()
+            assert geodesic_speed(curve, t, 2.0) == 0.0
+        assert arc_length(curve, 2.0, 8) == 0.0
+
     def test_commuting_reduction(self):
         a = SpdMatrix(np.diag([1.0, 4.0]))
         b = SpdMatrix(np.diag([9.0, 16.0]))

@@ -273,6 +273,17 @@ class TestConjugate:
         with pytest.raises(ValueError, match="mismatch"):
             conjugate(np.eye(3), identity(2))
 
+    def test_array_operand_is_checked(self):
+        # An array A passes the Hermitian check and the gate, as every SPD
+        # operand does; it is not symmetrized into an SPD matrix.
+        with pytest.raises(ValueError, match="not Hermitian"):
+            conjugate(np.eye(2), [[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="not safely positive definite"):
+            conjugate(np.eye(2), np.diag([1.0, 1e-14]))
+        a = random_spd(make_rng(23), 2)
+        assert np.array_equal(conjugate(np.eye(2), np.array(a.array)).array,
+                              conjugate(np.eye(2), a).array)
+
 
 class TestCommutator:
     def test_diagonal_pair_commutes(self):
