@@ -1,8 +1,11 @@
 """Command-line harness: selftest, verification campaigns, and gap studies.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Data goes to
-``--out`` or standard output; diagnostics go to standard error.  Identical
-invocations produce byte-identical output files.
+``--out`` or standard output, written chunk by chunk as it is computed;
+diagnostics go to standard error.  A regular ``--out`` file appears only when
+every row is written; standard output and special files (``/dev/null``, a
+FIFO) may hold the rows before a failure.  Identical invocations produce
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ from .experiments import (
     ENSEMBLES,
     RNG_IDENTITY,
     SampleConfig,
-    ScanTable,
+    _campaign_chunks,
     _gap_study,
+    _write_chunks,
     mix_seed,
-    run_campaign,
-    write_csv,
 )
 from .selftest import run_selftest
 
@@ -110,26 +112,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _campaign_table(args, ineqs: list[str]) -> ScanTable:
-    table = ScanTable()
-    for dim in args.dim:
-        for eps in args.eps_grid:
-            config = SampleConfig(dim=dim, ensemble=args.ensemble,
-                                  seed=mix_seed(args.seed, dim), epsilon=eps)
-            table.extend(run_campaign(config, ineqs, args.p, args.samples, tol_rel=args.tol))
-    return table
-
-
-def _gap_table(args) -> ScanTable:
-    table = ScanTable()
-    for dim in args.dim:
-        config = SampleConfig(dim=dim, ensemble="commuting_pair", seed=mix_seed(args.seed, dim))
-        table.extend(_gap_study(config, args.samples, args.eps_grid, args.p))
-    return table
-
-
 def _run(args) -> int:
-    """Write the rows under a header echoing the flags; only ``verify`` gates."""
+    """Write the rows under a header echoing the flags, chunk by chunk as
+    they are computed; only ``verify`` gates."""
     campaign = args.subcommand != "gap-study"
     ineqs = _resolve_inequalities(args.ineq, args.p) if campaign else []
     comments = [
@@ -145,10 +130,30 @@ def _run(args) -> int:
     comments.append(f"eps-grid: {','.join(repr(e) for e in args.eps_grid)}")
     if campaign:
         comments.append(f"tol: {'default' if args.tol is None else repr(args.tol)}")
-    table = _campaign_table(args, ineqs) if campaign else _gap_table(args)
-    write_csv(table, sys.stdout if args.out is None else args.out, comments)
-    bad = table.columns["satisfied"].count(False)
-    print(f"{args.subcommand}: {len(table)} rows, {bad} unsatisfied", file=sys.stderr)
+    # Every configuration's stream is built, and so checked, before the
+    # output is opened; the samples are drawn as the writer reads them.
+    if campaign:
+        streams = [_campaign_chunks(SampleConfig(dim=dim, ensemble=args.ensemble,
+                                                 seed=mix_seed(args.seed, dim), epsilon=eps),
+                                    ineqs, args.p, args.samples, tol_rel=args.tol)
+                   for dim in args.dim for eps in args.eps_grid]
+    else:
+        streams = [_gap_study(SampleConfig(dim=dim, ensemble="commuting_pair",
+                                           seed=mix_seed(args.seed, dim)),
+                              args.samples, args.eps_grid, args.p)
+                   for dim in args.dim]
+    rows = bad = 0
+
+    def counted():
+        nonlocal rows, bad
+        for stream in streams:
+            for chunk in stream:
+                rows += len(chunk)
+                bad += chunk.columns["satisfied"].count(False)
+                yield chunk
+
+    _write_chunks(counted(), sys.stdout if args.out is None else args.out, comments)
+    print(f"{args.subcommand}: {rows} rows, {bad} unsatisfied", file=sys.stderr)
     return 1 if args.subcommand == "verify" and bad > 0 else 0
 
 

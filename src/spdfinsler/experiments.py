@@ -8,7 +8,9 @@ configuration produce byte-identical CSV files.
 
 from __future__ import annotations
 
+import io
 import math
+import os
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -123,8 +125,10 @@ class SampleBundle:
     log_b: HermitianMatrix
 
 
-def _rng_for(config: SampleConfig, index: int) -> np.random.Generator:
-    return np.random.default_rng(mix_seed(config.seed, index))
+def _generator(seed: int) -> np.random.Generator:
+    """The stream of ``default_rng(seed)``, built without its argument
+    dispatch."""
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def _normals(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -172,7 +176,7 @@ def _draw(config: SampleConfig, index: int) -> tuple:
     near_commuting direction (each ``(2, d, d)``, finished per chunk by
     ``_sample_stacks``), log-spectra rows, and the Gamma triple's invertible
     basis, whose condition guard decides how much of the stream it uses."""
-    rng = _rng_for(config, index)
+    rng = _generator(mix_seed(config.seed, index))
     dim, sigma = config.dim, config.spread
 
     def spectra(count: int) -> np.ndarray:
@@ -341,13 +345,16 @@ def _table(count: int, sides: tuple[list, ...], tol_rel: float | None = None,
                       for name, value in columns.items()})
 
 
-# Work per chunk, in units of d^3: a campaign chunk takes max(1, CHUNK_WORK
-# // d^3) samples through its stages at once, 262 at d = 5 and one at d = 32,
-# and a gap-study chunk that many ray points, whole rays at a time.  Large
-# matrices gain nothing from stacking (LAPACK dominates them) and would only
-# hold more memory.  Each sample depends only on (config, index), so the
-# chunk size changes no output byte.
+# Work per chunk, in units of d^3: a campaign chunk takes at most CHUNK_WORK
+# // d^3 samples through its stages at once, and a gap-study chunk that many
+# ray points, whole rays at a time.  Large matrices gain nothing from
+# stacking (LAPACK dominates them) and would only hold more memory.  A chunk
+# also holds at most CHUNK_ROWS rows (and at least one sample), so that the
+# rows a stream holds stay bounded at small d, where one sample gives tens
+# of rows: 105 samples of the default 39-row campaign plan.  Each sample
+# depends only on (config, index), so the chunk size changes no output byte.
 CHUNK_WORK = 32**3
+CHUNK_ROWS = 2**12
 
 
 def _sphere_families(samples: _Samples, orders: list[float]) -> dict:
@@ -394,8 +401,6 @@ def _campaign_rows(config: SampleConfig, items: list[tuple], plan, slots,
     """The rows of the drawn samples, ``(index, draw)`` items: every stage
     one batched call over all of them, the checker formulas one row at a
     time."""
-    if not items:
-        return ScanTable()
     indices = [index for index, _ in items]
     samples = _sample_stacks(config, [draw for _, draw in items])
     products, brackets = _gamma_defects(samples.a, samples.b, samples.c)
@@ -428,15 +433,15 @@ def _campaign_rows(config: SampleConfig, items: list[tuple], plan, slots,
     )
 
 
-def _chunked(config: SampleConfig, count: int, rows, points: int = 1) -> ScanTable:
-    """``rows(items)`` of samples 0 .. count - 1, chunk by chunk (see
-    CHUNK_WORK; a gap-study sample is a ray of ``points`` points), each item
-    an (index, draw) pair.  On a failure it raises what a loop over the
-    samples would: the error of the first failing sample, found by running
-    the samples one at a time; a draw-time error only if every earlier
-    sample passed."""
-    size = max(1, CHUNK_WORK // (points * config.dim**3))
-    table = ScanTable()
+def _chunked(config: SampleConfig, count: int, rows, rows_per_item: int, points: int = 1):
+    """The stream of ``rows(items)`` tables of samples 0 .. count - 1, one per
+    chunk (see CHUNK_WORK and CHUNK_ROWS; a gap-study sample is a ray of
+    ``points`` points), each item an (index, draw) pair giving
+    ``rows_per_item`` rows.  On a failure it raises, after the chunks
+    before it, what a loop over the samples would: the error of the first
+    failing sample, found by running the chunk's samples one at a time; a
+    draw-time error only after the rows of every earlier sample."""
+    size = max(1, min(CHUNK_WORK // (points * config.dim**3), CHUNK_ROWS // rows_per_item))
     for start in range(0, count, size):
         items, draw_error = [], None
         for index in range(start, min(count, start + size)):
@@ -445,32 +450,32 @@ def _chunked(config: SampleConfig, count: int, rows, points: int = 1) -> ScanTab
             except RuntimeError as exc:
                 draw_error = exc
                 break
-        try:
-            table.extend(rows(items))
-        except (ValueError, RuntimeError):
-            for item in items:
-                rows([item])
-            raise
+        if items:
+            try:
+                table = rows(items)
+            except (ValueError, RuntimeError):
+                for item in items:
+                    rows([item])
+                raise
+            yield table
         if draw_error is not None:
             raise draw_error
+
+
+def _joined(chunks) -> ScanTable:
+    """One table of the rows of a chunk stream."""
+    table = ScanTable()
+    for chunk in chunks:
+        table.extend(chunk)
     return table
 
 
-def run_campaign(config: SampleConfig, inequalities: Sequence[str],
-                 p_values: Sequence[float], count: int, *,
-                 tol_rel: float | None = None) -> ScanTable:
-    """Evaluate the requested inequalities on ``count`` ensemble samples.
-
-    Each requested inequality runs at every requested order inside its
-    validity range; an inequality left with no valid order raises
-    CheckerRangeError before any sampling.  Samples go through in chunks (see
-    CHUNK_WORK), each stage one batched call over a chunk, and each
-    checker family the plan needs is built once per chunk (the sphere
-    family from the projections of every order) and every (checker, order)
-    row is evaluated against it.  Rows come in (index, inequality, p)
-    order, and ``tol_rel`` optionally overrides the satisfaction tolerance
-    recorded per row.
-    """
+def _campaign_chunks(config: SampleConfig, inequalities: Sequence[str],
+                     p_values: Sequence[float], count: int, *,
+                     tol_rel: float | None = None):
+    """``run_campaign``'s rows as a stream of one table per chunk.  The
+    arguments are checked here, before any sampling; the samples are drawn
+    as the stream is read."""
     for name in inequalities:
         if name not in CHECKERS:
             raise ValueError(f"unknown inequality {name!r}; choose from {sorted(CHECKERS)}")
@@ -493,7 +498,26 @@ def run_campaign(config: SampleConfig, inequalities: Sequence[str],
                     for j, report in enumerate(checker.names(p))),
                    key=lambda slot: (slot[0], -1.0 if math.isnan(slot[1]) else slot[1]))
     return _chunked(config, count,
-                    lambda items: _campaign_rows(config, items, plan, slots, tol_rel))
+                    lambda items: _campaign_rows(config, items, plan, slots, tol_rel),
+                    len(slots))
+
+
+def run_campaign(config: SampleConfig, inequalities: Sequence[str],
+                 p_values: Sequence[float], count: int, *,
+                 tol_rel: float | None = None) -> ScanTable:
+    """Evaluate the requested inequalities on ``count`` ensemble samples.
+
+    Each requested inequality runs at every requested order inside its
+    validity range; an inequality left with no valid order raises
+    CheckerRangeError before any sampling.  Samples go through in chunks (see
+    CHUNK_WORK and CHUNK_ROWS), each stage one batched call over a chunk,
+    and each checker family the plan needs is built once per chunk (the
+    sphere family from the projections of every order) and every (checker,
+    order) row is evaluated against it.  Rows come in (index, inequality, p)
+    order, and ``tol_rel`` optionally overrides the satisfaction tolerance
+    recorded per row.
+    """
+    return _joined(_campaign_chunks(config, inequalities, p_values, count, tol_rel=tol_rel))
 
 
 def _ray_plan(eps_grid: Sequence[float], p) -> tuple[list[float], list[float]]:
@@ -511,8 +535,7 @@ def _ray_plan(eps_grid: Sequence[float], p) -> tuple[list[float], list[float]]:
 def _ray_directions(seeds: list[int], dim: int) -> np.ndarray:
     """The unit Hermitian direction of the ray of each seed, drawn from the
     seed's own generator."""
-    return _directions(np.array([_normals(np.random.default_rng(mix_seed(seed, 0)), dim)
-                                 for seed in seeds]))
+    return _directions(np.array([_normals(_generator(mix_seed(seed, 0)), dim) for seed in seeds]))
 
 
 def _rays(A: _Stack, B: _Stack, grid: list[float], orders: list[float],
@@ -577,20 +600,20 @@ def gap_scan(A: SpdMatrix, B: SpdMatrix, eps_grid: Sequence[float], p, *,
     return _rays(*_operands(A, B), grid, orders, [seed])
 
 
-def _gap_study(config: SampleConfig, count: int, eps_grid: Sequence[float], p) -> ScanTable:
-    """``gap-study`` at one dimension: the ray of ``gap_scan`` from each of
-    ``count`` base pairs of ``config``, seeded per pair, the rays of a
-    chunk of base pairs stacked, rows in (base pair, order, epsilon) order."""
+def _gap_study(config: SampleConfig, count: int, eps_grid: Sequence[float], p):
+    """``gap-study`` at one dimension as a stream of one table per chunk:
+    the ray of ``gap_scan`` from each of ``count`` base pairs of
+    ``config``, seeded per pair, the rays of a chunk of base pairs
+    stacked, rows in (base pair, order, epsilon) order.  The grid and
+    orders are checked here, before any sampling."""
     grid, orders = _ray_plan(eps_grid, p)
 
     def rays(items):
-        if not items:
-            return ScanTable()
         samples = _sample_stacks(config, [draw for _, draw in items], roles=2)
         return _rays(samples.a, samples.b, grid, orders,
                      [mix_seed(config.seed, index) for index, _ in items])
 
-    return _chunked(config, count, rays, len(grid))
+    return _chunked(config, count, rays, len(grid) * len(orders), len(grid))
 
 
 # One CSV line per row in CSV_COLUMNS order: floats at 17 significant digits,
@@ -598,7 +621,7 @@ def _gap_study(config: SampleConfig, count: int, eps_grid: Sequence[float], p) -
 # one value object over many rows (a configuration, order, sample or family
 # value), so each such object is formatted once.
 _SIDES = ("lhs", "rhs", "gap")
-_LINE = ",".join("%.17g" if name in _SIDES else "%s" for name in CSV_COLUMNS)
+_LINE = ",".join("%.17g" if name in _SIDES else "%s" for name in CSV_COLUMNS) + "\n"
 _REPEATED = ("spread", "epsilon", "p", "commutator_defect", "gamma_defect_product",
              "gamma_defect_bracket")
 
@@ -615,12 +638,54 @@ def _formatted(column: list) -> list[str]:
     return out
 
 
-def _csv_lines(table: ScanTable) -> list[str]:
+def _csv_text(table: ScanTable) -> str:
+    """The CSV lines of a table's rows, each ending in '\\n'."""
     columns = dict(table.columns)
     for name in _REPEATED:
         columns[name] = _formatted(columns[name])
     columns["satisfied"] = ["true" if value else "false" for value in columns["satisfied"]]
-    return [_LINE % row for row in zip(*columns.values())]
+    return "".join([_LINE % row for row in zip(*columns.values())])
+
+
+def _write_rows(handle, chunks, header_comments: Sequence[str]) -> None:
+    """The comments and header row, then each chunk's lines as it comes."""
+    handle.write("".join(f"# {comment}\n" for comment in header_comments)
+                 + ",".join(CSV_COLUMNS) + "\n")
+    for chunk in chunks:
+        handle.write(_csv_text(chunk))
+
+
+def _write_chunks(chunks, destination, header_comments: Sequence[str] = ()) -> None:
+    """Write a stream of ScanTables as one CSV to a path or text stream,
+    rendering and writing each table as it comes, so that only the current
+    chunk is held.  A text stream, and a path that exists but is not a
+    regular file (such as /dev/null or a FIFO), is written in place, so a
+    failure partway leaves the rows before it there.  A regular file is
+    written next to itself as ``<path>.partial`` and moved into place only
+    when every row is written: on any failure, interruption included, the
+    partial file is removed and the path is left as it was.  The file is
+    opened before the first chunk is read, so an unwritable path fails
+    before any sampling."""
+    if hasattr(destination, "write"):
+        _write_rows(destination, chunks, header_comments)
+        return
+    path = Path(destination)
+    # os.path, unlike Path, answers False on any error; the open reports it.
+    regular = os.path.isfile(path) or not os.path.exists(path)
+    # A symlink to a regular file is replaced through, as an in-place write would be.
+    target = Path(os.path.realpath(path)) if regular else path
+    partial = target.with_name(target.name + ".partial") if regular else target
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as handle:
+            _write_rows(handle, chunks, header_comments)
+        if regular:
+            os.replace(partial, target)
+    except BaseException as exc:
+        if regular:
+            partial.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(f"failed to write CSV to {path}: {exc}") from exc
+        raise
 
 
 def render_csv(records, header_comments: Sequence[str] = ()) -> str:
@@ -629,23 +694,13 @@ def render_csv(records, header_comments: Sequence[str] = ()) -> str:
     ``records`` is a ScanTable or a sequence of ScanRecords.  Floats carry
     17 significant digits so a parse-back recovers them exactly.
     """
-    lines = [f"# {comment}" for comment in header_comments]
-    lines.append(",".join(CSV_COLUMNS))
-    lines.extend(_csv_lines(ScanTable.of(records)))
-    lines.append("")  # the final line ending, without a second copy of the text
-    return "\n".join(lines)
+    sink = io.StringIO()
+    _write_chunks([ScanTable.of(records)], sink, header_comments)
+    return sink.getvalue()
 
 
 def write_csv(records, destination, header_comments: Sequence[str] = ()) -> None:
     """Write records (a ScanTable or ScanRecords) as CSV to a path or text
-    stream ('.' decimals, '\\n' endings)."""
-    text = render_csv(records, header_comments)
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
-    path = Path(destination)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise OSError(f"failed to write CSV to {path}: {exc}") from exc
+    stream ('.' decimals, '\\n' endings); a path is written as the one-chunk
+    case of a campaign's stream (see ``_write_chunks``)."""
+    _write_chunks([ScanTable.of(records)], destination, header_comments)

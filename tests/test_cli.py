@@ -1,7 +1,14 @@
 """Tests for the command-line harness: exit codes, determinism, output routing."""
 
-from spdfinsler import CHECKERS, selftest
+import os
+import tracemalloc
+
+import pytest
+
+import spdfinsler.experiments as experiments
+from spdfinsler import CHECKERS, SampleConfig, gap_scan, mix_seed, sample_bundle, selftest
 from spdfinsler.cli import main
+from spdfinsler.experiments import render_csv, run_campaign
 
 FIXED_CHECKS = [
     "inequalities.equality_cases",
@@ -196,11 +203,98 @@ def test_gap_study_gates_only_the_base_pair(tmp_path, capsys):
     assert capsys.readouterr().err == "gap-study: 11 rows, 0 unsatisfied\n"
 
 
-def test_write_failure_exits_one(tmp_path, capsys):
-    code = main(["verify", "--samples", "1", "--dim", "2",
-                 "--out", str(tmp_path / "missing_dir" / "x.csv")])
+def test_write_failure_exits_one(tmp_path, capsys, monkeypatch):
+    # The output is opened before the first sample is drawn.
+    def draw(config, index):
+        raise AssertionError("sampled before the output was opened")
+
+    monkeypatch.setattr(experiments, "_draw", draw)
+    out = tmp_path / "missing_dir" / "x.csv"
+    code = main(["verify", "--samples", "1", "--dim", "2", "--out", str(out)])
     assert code == 1
-    assert "failed to write CSV to" in capsys.readouterr().err
+    assert f"failed to write CSV to {out}: " in capsys.readouterr().err
+
+
+# d = 2 streams its rows, then the d = 48 sample fails the gate.
+FAILING_AFTER_ROWS = ["verify", "--dim", "2,48", "--samples", "1"]
+GATE_ERROR = "spdfinsler: error: matrix is not safely positive definite: lambda_min = "
+
+
+def test_failed_run_leaves_out_as_it_was(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "rows.csv"
+    argv = FAILING_AFTER_ROWS + ["--out", str(out)]
+    assert main(argv) == 1
+    [error] = capsys.readouterr().err.splitlines()
+    assert error.startswith(GATE_ERROR)
+    assert list(tmp_path.iterdir()) == []
+    out.write_bytes(b"an earlier run\n")
+    assert main(argv) == 1
+    assert out.read_bytes() == b"an earlier run\n"
+
+    def interrupted(config, index):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiments, "_draw", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_bytes() == b"an earlier run\n"
+
+
+def test_failure_on_stdout_follows_the_streamed_rows(capsys):
+    assert main(FAILING_AFTER_ROWS) == 1
+    captured = capsys.readouterr()
+    rows = [line for line in captured.out.splitlines() if not line.startswith("#")]
+    assert rows[0].startswith("index,dim,") and len(rows) == 1 + 39
+    assert {row.split(",")[1] for row in rows[1:]} == {"2"}
+    [error] = captured.err.splitlines()
+    assert error.startswith(GATE_ERROR)
+
+
+def test_special_file_out_is_written_in_place(capsys):
+    assert main(["verify", "--dim", "2", "--samples", "2", "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == "verify: 78 rows, 0 unsatisfied\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--dim", "2,3", "--p", "1.5,2,3", "--samples", "9", "--seed", "4"],
+    ["gap-study", "--dim", "2,3", "--p", "1,2", "--samples", "5", "--seed", "4",
+     "--eps-grid", "0,0.25,0.5"],
+])
+def test_streamed_output_equals_library_tables(argv, tmp_path, monkeypatch):
+    records = []
+    for dim in (2, 3):
+        if argv[0] == "verify":
+            config = SampleConfig(dim=dim, seed=mix_seed(4, dim))
+            names = [name for name in sorted(CHECKERS) if CHECKERS[name].orders([1.5, 2, 3])]
+            records += run_campaign(config, names, [1.5, 2.0, 3.0], 9)
+        else:
+            config = SampleConfig(dim=dim, ensemble="commuting_pair", seed=mix_seed(4, dim))
+            for index in range(5):
+                bundle = sample_bundle(config, index)
+                records += gap_scan(bundle.a, bundle.b, [0.0, 0.25, 0.5], [1.0, 2.0],
+                                    seed=mix_seed(config.seed, index))
+    # A low row bound makes each dimension stream several chunks.
+    monkeypatch.setattr(experiments, "CHUNK_ROWS", 64)
+    out = tmp_path / "rows.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    text = out.read_text()
+    comments = [line[2:] for line in text.splitlines() if line.startswith("# ")]
+    assert text == render_csv(records, comments)
+
+
+def test_memory_is_flat_in_the_sample_count(tmp_path):
+    # Only the current chunk is held: five times the samples, the same peak.
+    peaks = []
+    for samples in (200, 1000):
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--dim", "2", "--samples", str(samples),
+                         "--out", str(tmp_path / "rows.csv")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_near_commuting_ensemble_uses_eps_grid(tmp_path):

@@ -33,7 +33,9 @@ from spdfinsler import (
 )
 from spdfinsler.experiments import (
     CHECKERS,
+    _campaign_chunks,
     _draw,
+    _joined,
     _sample_stacks,
     mix_seed,
     render_csv,
@@ -123,14 +125,29 @@ class TestChunking:
     @pytest.mark.parametrize("ensemble", ENSEMBLES)
     def test_chunk_size_moves_no_byte(self, ensemble, monkeypatch):
         config = SampleConfig(dim=3, ensemble=ensemble, seed=5, epsilon=0.2)
-        whole = render_csv(run_campaign(config, sorted(CHECKERS), P_GRID, 7))
-        for per_chunk in (3, 1):
-            monkeypatch.setattr(experiments, "CHUNK_WORK", per_chunk * config.dim**3)
-            assert render_csv(run_campaign(config, sorted(CHECKERS), P_GRID, 7)) == whole
+        whole = run_campaign(config, sorted(CHECKERS), P_GRID, 7)
+        width = len(whole) // 7
+        # Bounded by work, then by rows: 3, 1, 2 and 1 samples a chunk.
+        for bound, value, chunks in (("CHUNK_WORK", 3 * config.dim**3, 3),
+                                     ("CHUNK_WORK", config.dim**3, 7),
+                                     ("CHUNK_ROWS", 2 * width + 1, 4),
+                                     ("CHUNK_ROWS", 1, 7)):
+            with monkeypatch.context() as patch:
+                patch.setattr(experiments, bound, value)
+                stream = list(_campaign_chunks(config, sorted(CHECKERS), P_GRID, 7))
+                assert len(stream) == chunks
+                assert render_csv(_joined(stream)) == render_csv(whole)
 
     def test_default_chunk_holds_a_default_campaign(self):
-        # 200 samples at d <= 5 pass every stage together; d = 32 goes alone.
-        assert experiments.CHUNK_WORK // 5**3 >= 200
+        # The default 39-row plan at d = 2 is bounded by rows: a 200-sample
+        # campaign takes two chunks, of 105 and 95 samples.  At d = 5 the
+        # work bound alone would take 262 samples; d = 32 goes alone.
+        config = SampleConfig(dim=2)
+        names = [name for name in sorted(CHECKERS) if CHECKERS[name].orders(P_GRID)]
+        stream = list(_campaign_chunks(config, names, P_GRID, 200))
+        assert [len(chunk) for chunk in stream] == [105 * 39, 95 * 39]
+        assert experiments.CHUNK_ROWS // 39 == 105
+        assert experiments.CHUNK_WORK // 5**3 == 262
         assert experiments.CHUNK_WORK // 32**3 == 1
 
     def test_kernel_calls_do_not_grow_with_samples(self, kernel_calls):

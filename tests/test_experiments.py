@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import spdfinsler.experiments as experiments
 from spdfinsler import (
     ENSEMBLES,
     CheckerRangeError,
@@ -26,8 +27,10 @@ from spdfinsler.matcore import _eigh_array
 from spdfinsler.experiments import (
     CHECKERS,
     CSV_COLUMNS,
+    _campaign_chunks,
     _gap_study,
     _gated,
+    _generator,
     _ray_directions,
     gap_scan,
     render_csv,
@@ -53,6 +56,13 @@ class TestSampleConfig:
         for epsilon in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="epsilon"):
                 SampleConfig(dim=2, epsilon=epsilon)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_generator_streams_are_default_rng_streams(self, seed):
+        ours, numpy_default = _generator(seed), np.random.default_rng(seed)
+        assert np.array_equal(ours.standard_normal((2, 3, 3)),
+                              numpy_default.standard_normal((2, 3, 3)))
+        assert ours.bit_generator.state == numpy_default.bit_generator.state
 
     def test_mix_seed_is_stable_and_spreads(self):
         assert mix_seed(0, 0) == mix_seed(0, 0)
@@ -210,10 +220,21 @@ class TestRunCampaign:
         assert by_name["conde_2uc"] == {1.5}
         assert by_name["p_convexity_high"] == {3.0}
 
-    def test_error_before_sampling_when_no_valid_order(self):
+    def test_error_before_sampling_when_no_valid_order(self, monkeypatch):
+        def draw(config, index):
+            raise AssertionError("sampled before the arguments were checked")
+
+        monkeypatch.setattr(experiments, "_draw", draw)
         config = SampleConfig(dim=2, seed=11)
         with pytest.raises(CheckerRangeError, match="conde_2uc"):
             run_campaign(config, ["conde_2uc"], [3.0], 5)
+        # The stream checks its arguments when it is built, not when read.
+        with pytest.raises(CheckerRangeError, match="conde_2uc"):
+            _campaign_chunks(config, ["conde_2uc"], [3.0], 5)
+        with pytest.raises(ValueError, match="count"):
+            _campaign_chunks(config, ["distance_lower_bound"], [2.0], -1)
+        with pytest.raises(ValueError, match="eps grid"):
+            _gap_study(config, 5, [0.5], [2.0])
 
     def test_unknown_inequality(self):
         config = SampleConfig(dim=2, seed=12)
@@ -355,7 +376,7 @@ class TestGapScan:
         grid = [0.0, 0.1, 0.5, 1.0]
         for count in (1, 6):
             kernel_calls.update(dict.fromkeys(kernel_calls, 0))
-            _gap_study(config, count, grid, [2.0])
+            list(_gap_study(config, count, grid, [2.0]))
             assert (kernel_calls["eigh"], kernel_calls["eigh_matrices"]) == (
                 3, count * (2 + 2 * (len(grid) - 1)))
 
