@@ -13,6 +13,7 @@ import math
 import os
 from collections import namedtuple
 from dataclasses import dataclass, fields
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -31,7 +32,7 @@ from .matcore import (
     _operands,
     _Stack,
 )
-from .geodesic import _gamma_defects, _project
+from .geodesic import _gamma_defects, _project, _sandwich_log_eigs
 from .inequalities import (
     CHECKERS,
     CheckerRangeError,
@@ -346,46 +347,45 @@ def _table(count: int, sides: tuple[list, ...], tol_rel: float | None = None,
 
 
 # Work per chunk, in units of d^3: a campaign chunk takes at most CHUNK_WORK
-# // d^3 samples through its stages at once, and a gap-study chunk that many
-# ray points, whole rays at a time.  Large matrices gain nothing from
-# stacking (LAPACK dominates them) and would only hold more memory.  A chunk
+# // d^3 samples through its stages at once (4 at d = 32, where stacking
+# spreads numpy's per-call cost over the samples), and a gap-study chunk a
+# quarter as many ray points, whole rays at a time: a ray point weighs four
+# samples, since rays measured no faster at four times the points a chunk,
+# only 5 MB larger in peak memory on the 11-point grid at d <= 5.  A chunk
 # also holds at most CHUNK_ROWS rows (and at least one sample), so that the
 # rows a stream holds stay bounded at small d, where one sample gives tens
 # of rows: 105 samples of the default 39-row campaign plan.  Each sample
 # depends only on (config, index), so the chunk size changes no output byte.
-CHUNK_WORK = 32**3
+CHUNK_WORK = 4 * 32**3
 CHUNK_ROWS = 2**12
 
 
 def _sphere_families(samples: _Samples, orders: list[float]) -> dict:
     """The sphere family at each order, from the projections of a and b onto
-    the unit spheres of every order, stacked order-major."""
-    a, b = (_Stack(_project(m, orders)[0]) for m in (samples.a, samples.b))
-    spectra = _sphere_spectra(a, b)
-    defects = _defects(a.array, b.array)
-    n = len(samples.a)
-    return {p: ({name: values[k * n:(k + 1) * n] for name, values in spectra.items()},
-                defects[k * n:(k + 1) * n])
-            for k, p in enumerate(orders)}
+    that order's unit sphere, one order at a time: no stage stacks more than
+    a few matrices per sample, whatever the number of orders."""
+    families = {}
+    for p in orders:
+        a, b = (_Stack(_project(m, p)[0]) for m in (samples.a, samples.b))
+        families[p] = _sphere_spectra(a, b), _defects(a.array, b.array)
+    return families
 
 
 def _families(samples: _Samples, plan) -> dict:
     """Each family the plan reads, built once over all samples in the
     plan's order of first use, with the commutator defect it reports: of
-    (a, b), of the logs, or of the projected pair at each sphere order."""
+    (a, b), of the logs, or of the projected pair at each sphere order.
+    The distance and triple families share the (a, b) sandwich spectrum."""
     a, b, logs = samples.a, samples.b, (samples.log_a, samples.log_b)
-    pairs, defects = {"ab": (a.array, b.array), "logs": logs}, {}
-
-    def pair_defects(key):
-        if key not in defects:
-            defects[key] = _defects(*pairs[key])
-        return defects[key]
-
+    # What two families share, built on first use.
+    log_defects = cache(lambda: _defects(*logs))
+    ab_defects = cache(lambda: _defects(a.array, b.array))
+    d_ab = cache(lambda: _sandwich_log_eigs(a, b))
     builders = {
-        "norms": lambda: (_pair_spectra(*logs), pair_defects("logs")),
-        "hermitian_pair": lambda: (_lemma_spectra(*logs), pair_defects("logs")),
-        "distance": lambda: (_distance_spectra(a, b), pair_defects("ab")),
-        "triple": lambda: (_triple_spectra(a, b, samples.c), pair_defects("ab")),
+        "norms": lambda: (_pair_spectra(*logs), log_defects()),
+        "hermitian_pair": lambda: (_lemma_spectra(*logs), log_defects()),
+        "distance": lambda: (_distance_spectra(a, b, d_ab()), ab_defects()),
+        "triple": lambda: (_triple_spectra(a, b, samples.c, d_ab()), ab_defects()),
         "sphere": lambda: _sphere_families(samples, list(dict.fromkeys(
             p for _, checker, p in plan if checker.family == "sphere"))),
     }
@@ -433,15 +433,15 @@ def _campaign_rows(config: SampleConfig, items: list[tuple], plan, slots,
     )
 
 
-def _chunked(config: SampleConfig, count: int, rows, rows_per_item: int, points: int = 1):
+def _chunked(config: SampleConfig, count: int, rows, rows_per_item: int, weight: int = 1):
     """The stream of ``rows(items)`` tables of samples 0 .. count - 1, one per
-    chunk (see CHUNK_WORK and CHUNK_ROWS; a gap-study sample is a ray of
-    ``points`` points), each item an (index, draw) pair giving
-    ``rows_per_item`` rows.  On a failure it raises, after the chunks
-    before it, what a loop over the samples would: the error of the first
-    failing sample, found by running the chunk's samples one at a time; a
-    draw-time error only after the rows of every earlier sample."""
-    size = max(1, min(CHUNK_WORK // (points * config.dim**3), CHUNK_ROWS // rows_per_item))
+    chunk (see CHUNK_WORK and CHUNK_ROWS), each item an (index, draw) pair
+    weighing ``weight`` campaign samples and giving ``rows_per_item`` rows.
+    On a failure it raises, after the chunks before it, what a loop over
+    the samples would: the error of the first failing sample, found by
+    running the chunk's samples one at a time; a draw-time error only after
+    the rows of every earlier sample."""
+    size = max(1, min(CHUNK_WORK // (weight * config.dim**3), CHUNK_ROWS // rows_per_item))
     for start in range(0, count, size):
         items, draw_error = [], None
         for index in range(start, min(count, start + size)):
@@ -512,10 +512,10 @@ def run_campaign(config: SampleConfig, inequalities: Sequence[str],
     CheckerRangeError before any sampling.  Samples go through in chunks (see
     CHUNK_WORK and CHUNK_ROWS), each stage one batched call over a chunk,
     and each checker family the plan needs is built once per chunk (the
-    sphere family from the projections of every order) and every (checker,
-    order) row is evaluated against it.  Rows come in (index, inequality, p)
-    order, and ``tol_rel`` optionally overrides the satisfaction tolerance
-    recorded per row.
+    sphere family once per order, from that order's projections) and every
+    (checker, order) row is evaluated against it.  Rows come in (index,
+    inequality, p) order, and ``tol_rel`` optionally overrides the
+    satisfaction tolerance recorded per row.
     """
     return _joined(_campaign_chunks(config, inequalities, p_values, count, tol_rel=tol_rel))
 
@@ -613,7 +613,8 @@ def _gap_study(config: SampleConfig, count: int, eps_grid: Sequence[float], p):
         return _rays(samples.a, samples.b, grid, orders,
                      [mix_seed(config.seed, index) for index, _ in items])
 
-    return _chunked(config, count, rays, len(grid) * len(orders), len(grid))
+    # A ray point weighs four campaign samples (see CHUNK_WORK).
+    return _chunked(config, count, rays, len(grid) * len(orders), 4 * len(grid))
 
 
 # One CSV line per row in CSV_COLUMNS order: floats at 17 significant digits,

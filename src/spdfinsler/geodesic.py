@@ -94,23 +94,18 @@ def _radii(U: _Stack, p: float) -> list[float]:
     return _lp_rows(np.log(U.eig().eigenvalues), p)
 
 
-def _project(A: _Stack, orders) -> tuple[np.ndarray, np.ndarray]:
+def _project(A: _Stack, p: float) -> tuple[np.ndarray, np.ndarray]:
     """A^(1 / ||log A||_p), the radial projection onto the exponential unit
-    sphere of order p, of each matrix at each order, order-major: one stack
-    of arrays and one of their spectral values."""
+    sphere of order p, of each matrix: its arrays and their spectral
+    values, each power from the stack's one decomposition."""
     dec = A.eig()
-    logs = np.log(dec.eigenvalues)
-    exponents = []
-    for p in orders:
-        for radius in _lp_rows(logs, p):
-            if radius <= 1e-12:
-                raise ValueError("cannot project the identity onto the unit sphere (no direction)")
-            exponents.append(1.0 / radius)
-    count = len(orders)
-    tiled = np.tile(dec.eigenvalues, (count, 1))
-    values = _require_positive(_function_values(tiled, lambda flat: np.concatenate(
-        [row**t for row, t in zip(flat.reshape(tiled.shape), exponents)])))
-    return _assemble(np.tile(dec.unitary, (count, 1, 1)), values), values
+    eigs = dec.eigenvalues
+    radii = _lp_rows(np.log(eigs), p)
+    if any(radius <= 1e-12 for radius in radii):
+        raise ValueError("cannot project the identity onto the unit sphere (no direction)")
+    values = _require_positive(_function_values(eigs, lambda flat: np.concatenate(
+        [row ** (1.0 / radius) for row, radius in zip(flat.reshape(eigs.shape), radii)])))
+    return _assemble(dec.unitary, values), values
 
 
 def _gamma_defects(A: _Stack, B: _Stack, C: _Stack) -> tuple[list[float], list[float]]:
@@ -325,5 +320,5 @@ def project_to_unit_sphere(A: SpdMatrix, p) -> SpdMatrix:
     up to roundoff.  Raises for A = I, where no direction exists.
     """
     p = _validate_p(p)
-    arrays, values = _project(*_operands(A), [p])
+    arrays, values = _project(*_operands(A), p)
     return SpdMatrix._adopt(arrays[0], values[0])

@@ -173,16 +173,24 @@ def _pair_spectra(X: np.ndarray, Y: np.ndarray) -> dict[str, np.ndarray]:
     return dict(zip(("norm_x", "norm_y", "norm_plus", "norm_minus"), sing.swapaxes(0, 1)))
 
 
-def _distance_spectra(A: _Stack, B: _Stack) -> dict[str, np.ndarray]:
+def _distance_spectra(A: _Stack, B: _Stack,
+                      d_ab: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """The "distance" family: the log-spectra behind delta_p(A, B) and
-    ||log A - log B||_p for each row of B (A one matrix, or one per row)."""
-    return {"delta_p": _sandwich_log_eigs(A, B), "log_euclidean": _log_euclidean_eigs(A, B)}
+    ||log A - log B||_p for each row of B (A one matrix, or one per row);
+    ``d_ab`` is the (A, B) sandwich spectrum when it is already computed."""
+    if d_ab is None:
+        d_ab = _sandwich_log_eigs(A, B)
+    return {"delta_p": d_ab, "log_euclidean": _log_euclidean_eigs(A, B)}
 
 
-def _triple_spectra(A: _Stack, B: _Stack, C: _Stack) -> dict[str, np.ndarray]:
-    """The "triple" family: sandwich log-spectra of (A,C), (B,C), (A,B) and (A#B,C)."""
+def _triple_spectra(A: _Stack, B: _Stack, C: _Stack,
+                    d_ab: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """The "triple" family: sandwich log-spectra of (A,C), (B,C), (A,B) and
+    (A#B,C); ``d_ab`` is the (A, B) one when it is already computed."""
     mean = _Stack(_weighted_mean(A, B, 0.5)[0])
-    d_ac, d_ab = _sandwich_log_eigs(A, C), _sandwich_log_eigs(A, B)
+    d_ac = _sandwich_log_eigs(A, C)
+    if d_ab is None:
+        d_ab = _sandwich_log_eigs(A, B)
     return {
         "d_ac": d_ac,
         "d_bc": _sandwich_log_eigs(B, C),

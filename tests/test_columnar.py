@@ -35,6 +35,7 @@ from spdfinsler.experiments import (
     CHECKERS,
     _campaign_chunks,
     _draw,
+    _gap_study,
     _joined,
     _sample_stacks,
     mix_seed,
@@ -141,14 +142,35 @@ class TestChunking:
     def test_default_chunk_holds_a_default_campaign(self):
         # The default 39-row plan at d = 2 is bounded by rows: a 200-sample
         # campaign takes two chunks, of 105 and 95 samples.  At d = 5 the
-        # work bound alone would take 262 samples; d = 32 goes alone.
+        # rows bound it too; d = 32 takes four samples a chunk.
         config = SampleConfig(dim=2)
         names = [name for name in sorted(CHECKERS) if CHECKERS[name].orders(P_GRID)]
         stream = list(_campaign_chunks(config, names, P_GRID, 200))
         assert [len(chunk) for chunk in stream] == [105 * 39, 95 * 39]
         assert experiments.CHUNK_ROWS // 39 == 105
-        assert experiments.CHUNK_WORK // 5**3 == 262
-        assert experiments.CHUNK_WORK // 32**3 == 1
+        assert experiments.CHUNK_WORK // 5**3 > 105
+        config = SampleConfig(dim=32, ensemble="near_commuting", epsilon=0.5)
+        stream = list(_campaign_chunks(config, ["distance_lower_bound"], [2.0], 6))
+        assert [len(chunk) for chunk in stream] == [4, 2]
+
+    @pytest.mark.parametrize("dim, pairs", [(2, 372), (3, 110), (5, 23)])
+    def test_gap_study_chunks_on_the_default_grid(self, dim, pairs):
+        # 11 points a ray, each weighing four campaign samples.
+        grid = [k / 10 for k in range(11)]
+        stream = list(_gap_study(SampleConfig(dim=dim), pairs + 1, grid, [2.0]))
+        assert [len(chunk) for chunk in stream] == [pairs * 11, 11]
+
+    def test_d32_stacking_moves_no_byte(self, monkeypatch):
+        # Four d = 32 samples a chunk give each row the bits of its sample
+        # run alone: 5 samples make chunks of 4 and 1.
+        config = SampleConfig(dim=32, ensemble="near_commuting", epsilon=0.5)
+        names = [name for name in sorted(CHECKERS) if CHECKERS[name].orders(P_GRID)]
+        stacked = list(_campaign_chunks(config, names, P_GRID, 5))
+        assert [len(chunk) // len(stacked[-1]) for chunk in stacked] == [4, 1]
+        monkeypatch.setattr(experiments, "CHUNK_WORK", 32**3)
+        alone = list(_campaign_chunks(config, names, P_GRID, 5))
+        assert len(alone) == 5
+        assert render_csv(_joined(stacked)) == render_csv(_joined(alone))
 
     def test_kernel_calls_do_not_grow_with_samples(self, kernel_calls):
         config = SampleConfig(dim=3, seed=6)
@@ -266,13 +288,12 @@ class TestStackedStages:
         means, _ = _weighted_mean(a, b, 0.5)
         for k, bundle in enumerate(bundles):
             assert np.array_equal(means[k], GeodesicCurve(bundle.a, bundle.b).eval(0.5).array)
-        orders = [1.1, 2.0, 4.0]
-        projected, _ = _project(a, orders)
-        for j, p in enumerate(orders):
+        for p in [1.1, 2.0, 4.0]:
+            projected, values = _project(a, p)
             for k, bundle in enumerate(bundles):
                 radius = delta_p_to_identity(bundle.a, p)
-                assert np.array_equal(projected[j * len(bundles) + k],
-                                      mat_pow(bundle.a, 1.0 / radius).array)
+                assert np.array_equal(projected[k], mat_pow(bundle.a, 1.0 / radius).array)
+                assert np.array_equal(values[k], bundle.a.eig().eigenvalues ** (1.0 / radius))
         for bundle in bundles:
             # gamma_commute, as the per-matrix formula with 2-D norms.
             A, B, C = (m.array for m in (bundle.a, bundle.b, bundle.c))

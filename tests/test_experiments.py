@@ -273,16 +273,19 @@ class TestRunCampaign:
         # samples make the same calls; per sample, the matrices decomposed
         # are a, b, c through exp and the SPD gate (near_commuting gates
         # B_eps in place of the B it replaces), then the families' spectra.
+        # The sphere family's stages run once per order (3 eigh and 1
+        # eigvalsh at each of the 5 orders), and the distance and triple
+        # families share one (a, b) sandwich eigvalsh.
         for config, eigh_calls, eigh_matrices in (
-                (SampleConfig(dim=3), 8, 25),
-                (SampleConfig(dim=3, ensemble="near_commuting", epsilon=0.1), 8, 24),
-                (SampleConfig(dim=3, ensemble="gamma_commuting_triple"), 7, 22)):
+                (SampleConfig(dim=3), 20, 25),
+                (SampleConfig(dim=3, ensemble="near_commuting", epsilon=0.1), 20, 24),
+                (SampleConfig(dim=3, ensemble="gamma_commuting_triple"), 19, 22)):
             for count in (2, 20):
                 kernel_calls.update(dict.fromkeys(kernel_calls, 0))
                 run_campaign(config, ALL_INEQUALITIES, P_GRID, count)
-                assert kernel_calls == {"eigh": eigh_calls, "eigvalsh": 8, "svd": 2,
+                assert kernel_calls == {"eigh": eigh_calls, "eigvalsh": 11, "svd": 2,
                                         "eigh_matrices": count * eigh_matrices,
-                                        "eigvalsh_matrices": count * 12,
+                                        "eigvalsh_matrices": count * 11,
                                         "svd_matrices": count * 5}
 
     def test_tolerance_override(self):
