@@ -32,7 +32,7 @@ from .matcore import (
     _operands,
     _Stack,
 )
-from .geodesic import _gamma_defects, _project, _sandwich_log_eigs
+from .geodesic import _gamma_defects, _project, _sandwich, _sandwich_log_eigs
 from .inequalities import (
     CHECKERS,
     CheckerRangeError,
@@ -160,15 +160,36 @@ def _directions(normals: np.ndarray) -> np.ndarray:
     return directions / _frobenius(directions)[:, None, None]
 
 
-def _random_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:
-    for _ in range(CONDITION_GUARD_ATTEMPTS):
-        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        if np.linalg.cond(x) <= CONDITION_GUARD:
-            return x
-    raise RuntimeError(
-        f"no conjugating matrix with condition <= {CONDITION_GUARD:g} found "
-        f"in {CONDITION_GUARD_ATTEMPTS} attempts"
-    )
+def _candidate(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """One candidate conjugating matrix of the Gamma triple: a complex Gaussian."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _gamma_draws(rngs: list, config: SampleConfig) -> tuple[list[tuple], RuntimeError | None]:
+    """The gamma_commuting_triple draws of one generator each: its first
+    candidate basis whose condition is at most CONDITION_GUARD, then its
+    log-spectra rows.  The first candidates of all generators are tested by
+    one ``cond`` call on their stack; only a generator whose candidate fails
+    draws more, from its own stream, so every stream is used as if alone.
+    Returns the draws of the generators before the first that finds no
+    basis in CONDITION_GUARD_ATTEMPTS candidates, and that one's error
+    (None when every generator draws)."""
+    dim = config.dim
+    candidates = [_candidate(rng, dim) for rng in rngs]
+    passed = (np.linalg.cond(np.array(candidates)) <= CONDITION_GUARD).tolist()
+    draws = []
+    for rng, basis, ok in zip(rngs, candidates, passed):
+        attempts = 1
+        while not ok and attempts < CONDITION_GUARD_ATTEMPTS:
+            basis, attempts = _candidate(rng, dim), attempts + 1
+            ok = np.linalg.cond(basis) <= CONDITION_GUARD
+        if not ok:
+            return draws, RuntimeError(
+                f"no conjugating matrix with condition <= {CONDITION_GUARD:g} found "
+                f"in {CONDITION_GUARD_ATTEMPTS} attempts"
+            )
+        draws.append((basis, config.spread * rng.standard_normal((3, dim))))
+    return draws, None
 
 
 def _draw(config: SampleConfig, index: int) -> tuple:
@@ -190,8 +211,30 @@ def _draw(config: SampleConfig, index: int) -> tuple:
     if config.ensemble == "commuting_triple":
         return _normals(rng, dim), spectra(3)
     if config.ensemble == "gamma_commuting_triple":
-        return _random_invertible(rng, dim), spectra(3)
+        draws, error = _gamma_draws([rng], config)
+        if error is not None:
+            raise error
+        return draws[0]
     return _normals(rng, dim), spectra(2), _normals(rng, dim), _normals(rng, dim)
+
+
+def _draws(config: SampleConfig, indices: range) -> tuple[list[tuple], RuntimeError | None]:
+    """The ``(index, draw)`` items of the samples ``indices``, each draw as
+    ``_draw`` gives it, up to the first sample whose draw fails, and that
+    sample's error (None when every sample draws).  The Gamma triple's
+    condition guard runs once for them all (see ``_gamma_draws``); every
+    other ensemble draws sample by sample through ``_draw``."""
+    if config.ensemble == "gamma_commuting_triple":
+        draws, error = _gamma_draws(
+            [_generator(mix_seed(config.seed, index)) for index in indices], config)
+        return list(zip(indices, draws)), error
+    items = []
+    for index in indices:
+        try:
+            items.append((index, _draw(config, index)))
+        except RuntimeError as exc:
+            return items, exc
+    return items, None
 
 
 # Samples stacked one row each: the gated SPD triple (a, b, c ``_Stack``s;
@@ -375,17 +418,19 @@ def _families(samples: _Samples, plan) -> dict:
     """Each family the plan reads, built once over all samples in the
     plan's order of first use, with the commutator defect it reports: of
     (a, b), of the logs, or of the projected pair at each sphere order.
-    The distance and triple families share the (a, b) sandwich spectrum."""
+    The distance and triple families share the (a, b) sandwich and its
+    spectrum."""
     a, b, logs = samples.a, samples.b, (samples.log_a, samples.log_b)
     # What two families share, built on first use.
     log_defects = cache(lambda: _defects(*logs))
     ab_defects = cache(lambda: _defects(a.array, b.array))
-    d_ab = cache(lambda: _sandwich_log_eigs(a, b))
+    ab = cache(lambda: _sandwich(a, b))
+    d_ab = cache(lambda: _sandwich_log_eigs(a, b, ab()))
     builders = {
         "norms": lambda: (_pair_spectra(*logs), log_defects()),
         "hermitian_pair": lambda: (_lemma_spectra(*logs), log_defects()),
         "distance": lambda: (_distance_spectra(a, b, d_ab()), ab_defects()),
-        "triple": lambda: (_triple_spectra(a, b, samples.c, d_ab()), ab_defects()),
+        "triple": lambda: (_triple_spectra(a, b, samples.c, d_ab(), ab()), ab_defects()),
         "sphere": lambda: _sphere_families(samples, list(dict.fromkeys(
             p for _, checker, p in plan if checker.family == "sphere"))),
     }
@@ -399,8 +444,9 @@ def _families(samples: _Samples, plan) -> dict:
 def _campaign_rows(config: SampleConfig, items: list[tuple], plan, slots,
                    tol_rel: float | None) -> ScanTable:
     """The rows of the drawn samples, ``(index, draw)`` items: every stage
-    one batched call over all of them, the checker formulas one row at a
-    time."""
+    one batched call over all of them, the checker formulas mapped over
+    columns of Python floats.  Rows keep each report's four columns (lhs,
+    rhs, gap, satisfied), not its diagnostics."""
     indices = [index for index, _ in items]
     samples = _sample_stacks(config, [draw for _, draw in items])
     products, brackets = _gamma_defects(samples.a, samples.b, samples.c)
@@ -414,22 +460,27 @@ def _campaign_rows(config: SampleConfig, items: list[tuple], plan, slots,
             inputs[key] = _inputs(checker.family, values, p)
         evaluated.append(_evaluate(name, inputs[key], p))
         defects.append(pair_defects)
+    width, count = len(slots), len(indices) * len(slots)
+
     def interleave(segments):
-        """Each sample's rows in slot order: one permutation of the plan's rows."""
-        return [value for sample in zip(*segments) for value in sample]
+        """Each sample's rows in slot order: row ``k * width + j`` is entry k
+        of segment j, one slice assignment per slot."""
+        rows = [None] * count
+        for j, segment in enumerate(segments):
+            rows[j::width] = segment
+        return rows
 
     sides = [interleave([evaluated[k][j][column] for _, _, k, j in slots]) for column in range(4)]
-    width, count = len(slots), len(indices) * len(slots)
     return _table(
         count, sides, tol_rel,
-        index=[index for index in indices for _ in range(width)],
+        index=interleave([indices] * width),
         dim=config.dim, spread=config.spread, ensemble=config.ensemble, seed=config.seed,
         epsilon=config.epsilon,
         inequality=[name for name, _, _, _ in slots] * len(indices),
         p=[p for _, p, _, _ in slots] * len(indices),
         commutator_defect=interleave([defects[k] for _, _, k, _ in slots]),
-        gamma_defect_product=[g for g in products for _ in range(width)],
-        gamma_defect_bracket=[g for g in brackets for _ in range(width)],
+        gamma_defect_product=interleave([products] * width),
+        gamma_defect_bracket=interleave([brackets] * width),
     )
 
 
@@ -443,13 +494,7 @@ def _chunked(config: SampleConfig, count: int, rows, rows_per_item: int, weight:
     the rows of every earlier sample."""
     size = max(1, min(CHUNK_WORK // (weight * config.dim**3), CHUNK_ROWS // rows_per_item))
     for start in range(0, count, size):
-        items, draw_error = [], None
-        for index in range(start, min(count, start + size)):
-            try:
-                items.append((index, _draw(config, index)))
-            except RuntimeError as exc:
-                draw_error = exc
-                break
+        items, draw_error = _draws(config, range(start, min(count, start + size)))
         if items:
             try:
                 table = rows(items)
@@ -618,13 +663,39 @@ def _gap_study(config: SampleConfig, count: int, eps_grid: Sequence[float], p):
 
 
 # One CSV line per row in CSV_COLUMNS order: floats at 17 significant digits,
-# verdicts as true/false.  Besides lhs, rhs and gap, a float column repeats
+# verdicts as true/false.  A column constant over a chunk (see ``_constant``:
+# dim, spread, ensemble and seed, or gap-study's NaN defects) is formatted
+# once, into the chunk's line template.  Of the others, lhs, rhs and gap are
+# formatted per row by the template, and every other float column repeats
 # one value object over many rows (a configuration, order, sample or family
 # value), so each such object is formatted once.
 _SIDES = ("lhs", "rhs", "gap")
-_LINE = ",".join("%.17g" if name in _SIDES else "%s" for name in CSV_COLUMNS) + "\n"
 _REPEATED = ("spread", "epsilon", "p", "commutator_defect", "gamma_defect_product",
              "gamma_defect_bracket")
+_FLOATS = _SIDES + _REPEATED
+
+
+def _text(name: str, value) -> str:
+    """One value as its column prints it."""
+    if name == "satisfied":
+        return "true" if value else "false"
+    return ("%.17g" if name in _FLOATS else "%s") % (value,)
+
+
+def _constant(name: str, column: list) -> bool:
+    """Whether every value of a nonempty column prints as its first: each
+    compares equal to it (the same NaN object does); in a float column the
+    first is not zero (0.0 and -0.0 compare equal but print apart); in a
+    column printed by %s each has the first's type (1 and 1.0 compare equal
+    too), and a zero first is an int."""
+    first, last = column[0], column[-1]
+    if not ((last is first or last == first) and column.count(first) == len(column)):
+        return False
+    if name == "satisfied":
+        return True
+    if name in _FLOATS:
+        return not first == 0
+    return len(set(map(type, column))) == 1 and (type(first) is int or not first == 0)
 
 
 def _formatted(column: list) -> list[str]:
@@ -641,11 +712,23 @@ def _formatted(column: list) -> list[str]:
 
 def _csv_text(table: ScanTable) -> str:
     """The CSV lines of a table's rows, each ending in '\\n'."""
-    columns = dict(table.columns)
-    for name in _REPEATED:
-        columns[name] = _formatted(columns[name])
-    columns["satisfied"] = ["true" if value else "false" for value in columns["satisfied"]]
-    return "".join([_LINE % row for row in zip(*columns.values())])
+    if not len(table):
+        return ""
+    fields, varying = [], []
+    for name, column in table.columns.items():
+        if _constant(name, column):
+            fields.append(_text(name, column[0]).replace("%", "%%"))
+            continue
+        if name in _REPEATED:
+            column = _formatted(column)
+        elif name == "satisfied":
+            column = ["true" if value else "false" for value in column]
+        fields.append("%.17g" if name in _SIDES else "%s")
+        varying.append(column)
+    line = ",".join(fields) + "\n"
+    if not varying:
+        return line % () * len(table)
+    return "".join([line % row for row in zip(*varying)])
 
 
 def _write_rows(handle, chunks, header_comments: Sequence[str]) -> None:

@@ -65,15 +65,25 @@ def _descending_logs(w: np.ndarray) -> np.ndarray:
     return np.log(np.ascontiguousarray(w).ravel()[::-1])[::-1].reshape(w.shape)[:, ::-1]
 
 
-def _sandwich_log_eigs(A: _Stack, B: _Stack) -> np.ndarray:
+def _sandwich(A: _Stack, B: _Stack) -> np.ndarray:
+    """A^{-1/2} B A^{-1/2} for each row of B (A one matrix or one per row),
+    Hermitian: the sandwich that the geodesic factorization decomposes and
+    whose log-spectrum is delta_p's."""
+    return _congruence(A.power(-0.5), B.array)
+
+
+def _sandwich_log_eigs(A: _Stack, B: _Stack, sandwich: np.ndarray | None = None) -> np.ndarray:
     """log of the eigenvalues of A^{-1/2} B A^{-1/2}, descending, for each
     row of B (A one matrix or one per row), from one eigvalsh (not the
-    mean's eigh: their bits differ), checked positive.  A row equal to its A
+    mean's eigh: their bits differ), checked positive.  ``sandwich`` is
+    ``_sandwich(A, B)`` when it is already formed.  A row equal to its A
     gives the exact zero spectrum, so delta_p(A, A) is exactly 0."""
     equal = (B.array == A.array).all(axis=(1, 2))
     logs = np.zeros(equal.shape + B.array.shape[-1:])
     if not equal.all():
-        w = np.linalg.eigvalsh(_congruence(A.power(-0.5), B.array))[~equal]
+        if sandwich is None:
+            sandwich = _sandwich(A, B)
+        w = np.linalg.eigvalsh(sandwich)[~equal]
         logs[~equal] = _descending_logs(_require_positive(w))
     return logs
 
@@ -84,9 +94,11 @@ def _log_euclidean_eigs(A: _Stack, B: _Stack) -> np.ndarray:
     return np.linalg.eigvalsh(A.log() - B.log())
 
 
-def _weighted_mean(A: _Stack, B: _Stack, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """A #_t B of each row pair of two stacks (see ``GeodesicCurve._points``)."""
-    return object.__new__(GeodesicCurve)._factor(A, B)._points(t)
+def _weighted_mean(A: _Stack, B: _Stack, t: float,
+                   sandwich: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """A #_t B of each row pair of two stacks (see ``GeodesicCurve._points``);
+    ``sandwich`` is ``_sandwich(A, B)`` when it is already formed."""
+    return object.__new__(GeodesicCurve)._factor(A, B, sandwich)._points(t)
 
 
 def _radii(U: _Stack, p: float) -> list[float]:
@@ -103,8 +115,19 @@ def _project(A: _Stack, p: float) -> tuple[np.ndarray, np.ndarray]:
     radii = _lp_rows(np.log(eigs), p)
     if any(radius <= 1e-12 for radius in radii):
         raise ValueError("cannot project the identity onto the unit sphere (no direction)")
-    values = _require_positive(_function_values(eigs, lambda flat: np.concatenate(
-        [row ** (1.0 / radius) for row, radius in zip(flat.reshape(eigs.shape), radii)])))
+    exponents = 1.0 / np.array(radii)
+
+    def powers(flat: np.ndarray) -> np.ndarray:
+        """Each row to its exponent, as ``row ** (1.0 / radius)`` rounds: one
+        broadcast power, but numpy takes a Python float exponent of 0.5 or 2
+        to sqrt or square, whose roundings differ from its pow."""
+        rows = flat.reshape(eigs.shape)
+        out = rows ** exponents[:, None]
+        for k in np.flatnonzero((exponents == 0.5) | (exponents == 2.0)):
+            out[k] = rows[k] ** (1.0 / radii[k])
+        return out.ravel()
+
+    values = _require_positive(_function_values(eigs, powers))
     return _assemble(dec.unitary, values), values
 
 
@@ -138,12 +161,14 @@ class GeodesicCurve:
     def __init__(self, A: SpdMatrix, B: SpdMatrix):
         self._factor(*_operands(A, B))
 
-    def _factor(self, A: _Stack, B: _Stack) -> "GeodesicCurve":
+    def _factor(self, A: _Stack, B: _Stack,
+                sandwich: np.ndarray | None = None) -> "GeodesicCurve":
         """The one factorization of the geodesic from each row of A to the
-        row of B: A^{1/2} and the sandwiches M = A^{-1/2} B A^{-1/2},
-        decomposed and checked positive but on the rows where B equals A."""
+        row of B: A^{1/2} and the sandwiches M = A^{-1/2} B A^{-1/2} (formed
+        here unless ``sandwich`` is ``_sandwich(A, B)``), decomposed and
+        checked positive but on the rows where B equals A."""
         self._equal = (B.array == A.array).all(axis=(1, 2))
-        self._mid = _Stack(_congruence(A.power(-0.5), B.array))
+        self._mid = _Stack(_sandwich(A, B) if sandwich is None else sandwich)
         _require_positive(self._mid.eig().eigenvalues[~self._equal])
         self._a, self._sqrt_a = A, A.power(0.5)
         return self

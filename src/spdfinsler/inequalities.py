@@ -42,6 +42,7 @@ from .geodesic import (
     SPHERE_TOL,
     _gamma_defects,
     _log_euclidean_eigs,
+    _sandwich,
     _sandwich_log_eigs,
     _radii,
     _weighted_mean,
@@ -103,8 +104,11 @@ class InequalityReport:
 
 def _satisfied(lhs: list[float], rhs: list[float], gap: list[float],
                rtol: float = REPORT_RTOL) -> list[bool]:
-    """The verdict rule, row by row: gap >= -rtol * max(1, |lhs|, |rhs|)."""
-    return [g >= -rtol * max(1.0, abs(l), abs(r)) for l, r, g in zip(lhs, rhs, gap)]
+    """The verdict rule, row by row: gap >= -rtol * max(1, |lhs|, |rhs|),
+    over float64 arrays; fmax skips a NaN side as Python's max does."""
+    scale = np.fmax(np.fmax(1.0, np.abs(lhs)), np.abs(rhs))
+    with np.errstate(invalid="ignore"):  # 0 * inf is NaN, as on Python floats
+        return (np.asarray(gap) >= -rtol * scale).tolist()
 
 
 @dataclass(frozen=True)
@@ -141,15 +145,17 @@ class Checker:
     the values it reads (see the family builders below).  ``names(p)`` are
     the names of its reports at order p, which depend on p alone, and
     ``evaluate(inputs, p)`` turns the family's inputs at order p (see
-    ``_inputs``), one row per sample, into one report per name: columns
-    ``(lhs, rhs, gap, satisfied, diagnostics)``, one entry per row, the
-    formulas run on Python floats.
+    ``_inputs``), columns with one entry per sample, into one report per
+    name: columns ``(lhs, rhs, gap, satisfied)``, the formulas run on
+    Python floats, plus its diagnostics as a dict of columns.  A campaign
+    reads the four columns only; a public ``check_*`` report takes its
+    ``diagnostics`` from the first entry of each diagnostic column.
     """
 
     p_range: PRange | None
     family: str
     names: Callable[[float], tuple[str, ...]]
-    evaluate: Callable[[dict, float], tuple[tuple[list, ...], ...]]
+    evaluate: Callable[[dict, float], tuple[tuple, ...]]
 
     def orders(self, p_values) -> list[float]:
         """The requested orders a campaign evaluates this checker at: those
@@ -183,14 +189,18 @@ def _distance_spectra(A: _Stack, B: _Stack,
     return {"delta_p": d_ab, "log_euclidean": _log_euclidean_eigs(A, B)}
 
 
-def _triple_spectra(A: _Stack, B: _Stack, C: _Stack,
-                    d_ab: np.ndarray | None = None) -> dict[str, np.ndarray]:
+def _triple_spectra(A: _Stack, B: _Stack, C: _Stack, d_ab: np.ndarray | None = None,
+                    ab: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """The "triple" family: sandwich log-spectra of (A,C), (B,C), (A,B) and
-    (A#B,C); ``d_ab`` is the (A, B) one when it is already computed."""
-    mean = _Stack(_weighted_mean(A, B, 0.5)[0])
+    (A#B,C); ``d_ab`` is the (A, B) one and ``ab`` the (A, B) sandwich when
+    they are already computed.  The mean and the (A, B) spectrum read one
+    formed sandwich."""
+    if ab is None:
+        ab = _sandwich(A, B)
+    mean = _Stack(_weighted_mean(A, B, 0.5, ab)[0])
     d_ac = _sandwich_log_eigs(A, C)
     if d_ab is None:
-        d_ab = _sandwich_log_eigs(A, B)
+        d_ab = _sandwich_log_eigs(A, B, ab)
     return {
         "d_ac": d_ac,
         "d_bc": _sandwich_log_eigs(B, C),
@@ -201,11 +211,13 @@ def _triple_spectra(A: _Stack, B: _Stack, C: _Stack,
 
 def _sphere_spectra(A: _Stack, B: _Stack) -> dict[str, np.ndarray]:
     """The "sphere" family: log-spectra behind delta_p(A#B, I) and
-    delta_p(A, B), for A and B on the exponential unit sphere of order p."""
-    mean = _Stack(_weighted_mean(A, B, 0.5)[0])
+    delta_p(A, B), for A and B on the exponential unit sphere of order p.
+    The mean and the (A, B) spectrum read one formed sandwich."""
+    ab = _sandwich(A, B)
+    mean = _Stack(_weighted_mean(A, B, 0.5, ab)[0])
     return {
         "d_mid_identity": np.log(mean.eig().eigenvalues),
-        "d_ab": _sandwich_log_eigs(A, B),
+        "d_ab": _sandwich_log_eigs(A, B, ab),
     }
 
 
@@ -234,26 +246,34 @@ def _lemma_slack(values: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]
                                _descending(values["bch"], "eigenvalue"))
 
 
-def _inputs(family: str, values: dict[str, np.ndarray], p: float):
+def _inputs(family: str, values: dict[str, np.ndarray], p: float) -> dict:
     """What a checker of the family evaluates at order p: the lemma's values
-    as they are, or else the norms of the family's spectra at p, one dict
-    of Python floats per row."""
+    as they are, or else the norms of the family's spectra at p, one column
+    of Python floats (one per sample) per named quantity."""
     if family == "hermitian_pair":
         return values
-    norms = {name: _lp_rows(spectra, p) for name, spectra in values.items()}
-    return [dict(zip(norms, row)) for row in zip(*norms.values())]
+    return {name: _lp_rows(spectra, p) for name, spectra in values.items()}
 
 
 def _report_columns(lhs: list[float], rhs: list[float], gap: list[float],
-                    diagnostics: list[dict]) -> tuple[list, ...]:
+                    diagnostics: dict[str, list]) -> tuple:
+    """One report's columns: the sides, the gap and the verdicts, one entry
+    per sample, then its diagnostics as a dict of columns."""
     return lhs, rhs, gap, _satisfied(lhs, rhs, gap), diagnostics
 
 
 def _ge(p_range: PRange, family: str, name: str, lhs, rhs) -> Checker:
-    """The checker of one inequality printed ``lhs >= rhs``; both sides are
-    formulas in the family's norms ``q`` at order ``p``."""
-    def evaluate(norms: list[dict[str, float]], p: float) -> tuple[tuple[list, ...]]:
-        left, right = [lhs(q, p) for q in norms], [rhs(q, p) for q in norms]
+    """The checker of one inequality printed ``lhs >= rhs``.  Each side is a
+    pair ``(norms, formula)``: the names of the family's norms it reads,
+    and ``formula(p, *norms)`` at order p on Python floats, mapped over the
+    columns of those norms.  The report's diagnostics are the family's
+    norm columns."""
+    (left_names, left_formula), (right_names, right_formula) = lhs, rhs
+
+    def evaluate(norms: dict[str, list[float]], p: float) -> tuple[tuple]:
+        orders = [p] * len(norms[left_names[0]])
+        left = list(map(left_formula, orders, *[norms[q] for q in left_names]))
+        right = list(map(right_formula, orders, *[norms[q] for q in right_names]))
         return (_report_columns(left, right, [l - r for l, r in zip(left, right)], norms),)
 
     return Checker(p_range, family, lambda p: (name,), evaluate)
@@ -264,14 +284,13 @@ def _clarkson_mccarthy_names(p: float) -> tuple[str, str]:
     return f"clarkson_mccarthy_lower_{side}", f"clarkson_mccarthy_upper_{side}"
 
 
-def _clarkson_mccarthy(norms: list[dict[str, float]], p: float):
+def _clarkson_mccarthy(norms: dict[str, list[float]], p: float):
     """Two reports, lower and upper bound, whose orientation flips at p = 2."""
-    combined = [q["norm_plus"] ** p + q["norm_minus"] ** p for q in norms]
-    separate = [q["norm_x"] ** p + q["norm_y"] ** p for q in norms]
+    combined = [a ** p + b ** p for a, b in zip(norms["norm_plus"], norms["norm_minus"])]
+    separate = [x ** p + y ** p for x, y in zip(norms["norm_x"], norms["norm_y"])]
     twice = [2.0 * s for s in separate]
     bound = [2.0 ** (p - 1.0) * s for s in separate]
-    diagnostics = [{"combined_power_sum": c, "separate_power_sum": s}
-                   for c, s in zip(combined, separate)]
+    diagnostics = {"combined_power_sum": combined, "separate_power_sum": separate}
     if p >= 2.0:
         lower = [c - t for c, t in zip(combined, twice)]
         upper = [b - c for b, c in zip(bound, combined)]
@@ -290,7 +309,7 @@ def _log_majorization(values: dict[str, np.ndarray], p: float):
     weak, tight = _prefix_verdicts(slack, tol)
     traces = values["trace"].tolist()
     return ((traces, [t + s for t, s in zip(traces, slack[:, -1].tolist())],
-             slack.min(axis=-1).tolist(), (weak & tight).tolist(), [{} for _ in traces]),)
+             slack.min(axis=-1).tolist(), (weak & tight).tolist(), {}),)
 
 
 _ABOVE_1_TO_2 = PRange(1.0, 2.0, low_open=True)
@@ -301,47 +320,47 @@ CHECKERS: dict[str, Checker] = {
                                  _clarkson_mccarthy_names, _clarkson_mccarthy),
     "two_uniform_convexity": _ge(
         _ABOVE_1_TO_2, "norms", "two_uniform_convexity",
-        lambda q, p: 0.5 * (q["norm_plus"]**2 + q["norm_minus"]**2),
-        lambda q, p: q["norm_x"]**2 + (p - 1.0) * q["norm_y"]**2),
+        (("norm_plus", "norm_minus"), lambda p, a, b: 0.5 * (a**2 + b**2)),
+        (("norm_x", "norm_y"), lambda p, x, y: x**2 + (p - 1.0) * y**2)),
     "hanner": _ge(
         PRange(1.0, HANNER_PROVEN_UPPER, point=HANNER_EXTRA_POINT), "norms", "hanner_matrix",
-        lambda q, p: q["norm_plus"] ** p + q["norm_minus"] ** p,
-        lambda q, p: (q["norm_x"] + q["norm_y"]) ** p + abs(q["norm_x"] - q["norm_y"]) ** p),
+        (("norm_plus", "norm_minus"), lambda p, a, b: a ** p + b ** p),
+        (("norm_x", "norm_y"), lambda p, x, y: (x + y) ** p + abs(x - y) ** p)),
     # Narrower than check_distance_lower_bound accepts: see its docstring.
     "distance_lower_bound": _ge(
         PRange(1.0, math.inf, low_open=True, high_open=True), "distance", "distance_lower_bound",
-        lambda q, p: q["delta_p"],
-        lambda q, p: q["log_euclidean"]),
+        (("delta_p",), lambda p, d: d),
+        (("log_euclidean",), lambda p, e: e)),
     "conde_2uc": _ge(
         _ABOVE_1_TO_2, "triple", "conde_2uc",
-        lambda q, p: 0.5 * (q["d_ac"]**2 + q["d_bc"]**2),
-        lambda q, p: q["d_mid"]**2 + (p - 1.0) / 4.0 * q["d_ab"]**2),
+        (("d_ac", "d_bc"), lambda p, ac, bc: 0.5 * (ac**2 + bc**2)),
+        (("d_mid", "d_ab"), lambda p, mid, ab: mid**2 + (p - 1.0) / 4.0 * ab**2)),
     "sphere_2uc": _ge(
         _ABOVE_1_TO_2, "sphere", "sphere_2uc",
-        lambda q, p: 1.0 - q["d_mid_identity"],
-        lambda q, p: (p - 1.0) / 8.0 * q["d_ab"]**2),
+        (("d_mid_identity",), lambda p, mid: 1.0 - mid),
+        (("d_ab",), lambda p, ab: (p - 1.0) / 8.0 * ab**2)),
     "p_convexity_high": _ge(
         _FROM_2, "triple", "p_convexity_high",
-        lambda q, p: 0.5 * (q["d_ac"]**p + q["d_bc"]**p),
-        lambda q, p: 2.0 ** (-p) * q["d_ab"]**p + q["d_mid"]**p),
+        (("d_ac", "d_bc"), lambda p, ac, bc: 0.5 * (ac**p + bc**p)),
+        (("d_ab", "d_mid"), lambda p, ab, mid: 2.0 ** (-p) * ab**p + mid**p)),
     "sphere_high": _ge(
         _FROM_2, "sphere", "sphere_high",
-        lambda q, p: 1.0 - q["d_mid_identity"]**p,
-        lambda q, p: 2.0 ** (-p) * q["d_ab"]**p),
+        (("d_mid_identity",), lambda p, mid: 1.0 - mid**p),
+        (("d_ab",), lambda p, ab: 2.0 ** (-p) * ab**p)),
     "p_convexity_low": _ge(
         _ABOVE_1_TO_2, "triple", "p_convexity_low",
-        lambda q, p: q["d_ac"]**p + q["d_bc"]**p,
-        lambda q, p: 0.5 * q["d_ab"]**p + 2.0 ** (p - 1.0) * q["d_mid"]**p),
+        (("d_ac", "d_bc"), lambda p, ac, bc: ac**p + bc**p),
+        (("d_ab", "d_mid"), lambda p, ab, mid: 0.5 * ab**p + 2.0 ** (p - 1.0) * mid**p)),
     "sphere_low": _ge(
         _ABOVE_1_TO_2, "sphere", "sphere_low",
-        lambda q, p: 1.0 - 2.0 ** (p - 2.0) * q["d_mid_identity"]**p,
-        lambda q, p: 0.25 * q["d_ab"]**p),
+        (("d_mid_identity",), lambda p, mid: 1.0 - 2.0 ** (p - 2.0) * mid**p),
+        (("d_ab",), lambda p, ab: 0.25 * ab**p)),
     "log_majorization": Checker(None, "hermitian_pair", lambda p: ("log_majorization",),
                                 _log_majorization),
 }
 
 
-def _evaluate(name: str, inputs, p: float) -> tuple[tuple[list, ...], ...]:
+def _evaluate(name: str, inputs, p: float) -> tuple[tuple, ...]:
     """``CHECKERS[name].evaluate``: the one place the formulas run.  An
     order so large that a formula overflows a float raises a ValueError
     naming the checker and the order."""
@@ -352,11 +371,13 @@ def _evaluate(name: str, inputs, p: float) -> tuple[tuple[list, ...], ...]:
 
 
 def _reports(name: str, values: dict, p: float) -> tuple[InequalityReport, ...]:
-    """The reports of one public check: the checker's columns on one-row family values."""
+    """The reports of one public check: the checker's columns on one-row
+    family values, each report's diagnostics the first entry of its
+    diagnostic columns."""
     return tuple(
         InequalityReport(report, float(p), float(lhs), float(rhs), float(gap), satisfied,
-                         dict(diagnostics))
-        for report, ((lhs,), (rhs,), (gap,), (satisfied,), (diagnostics,))
+                         {key: column[0] for key, column in diagnostics.items()})
+        for report, ((lhs,), (rhs,), (gap,), (satisfied,), diagnostics)
         in zip(CHECKERS[name].names(p),
                _evaluate(name, _inputs(CHECKERS[name].family, values, p), p)))
 

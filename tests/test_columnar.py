@@ -34,8 +34,11 @@ from spdfinsler import (
 from spdfinsler.experiments import (
     CHECKERS,
     _campaign_chunks,
+    _candidate,
     _draw,
+    _draws,
     _gap_study,
+    _generator,
     _joined,
     _sample_stacks,
     mix_seed,
@@ -43,7 +46,13 @@ from spdfinsler.experiments import (
     run_campaign,
     sample_bundle,
 )
-from spdfinsler.geodesic import _descending_logs, _gamma_defects, _project, _weighted_mean
+from spdfinsler.geodesic import (
+    _descending_logs,
+    _gamma_defects,
+    _project,
+    _radii,
+    _weighted_mean,
+)
 from spdfinsler.matcore import (
     _assemble,
     _eigh_array,
@@ -308,6 +317,31 @@ class TestStackedStages:
             assert report.defect_bracket == float(norm(X @ Y - Y @ X)) / (
                 float(norm(X)) * float(norm(Y)))
 
+    @pytest.mark.parametrize("dim", [2, 3, 5, 32])
+    def test_projection_powers_match_per_row_powers(self, dim):
+        # One broadcast exponent column against each row's own scalar power,
+        # on random spectra and on rows whose exponent is exactly 0.5 or 2,
+        # which numpy takes to sqrt and square for a scalar exponent.
+        rng = make_rng(dim + 3)
+        logs = rng.standard_normal((1200, dim)) * rng.uniform(0.05, 3.0, (1200, 1))
+        exact = []
+        for radius in (2.0, 0.5):
+            rows = rng.uniform(-0.95 * radius, 0.95 * radius, (100, dim))
+            rows[:, 0] = np.log(np.exp(radius))
+            assert (np.abs(rows).max(axis=1) == radius).all()
+            exact.append(rows)
+        for p in (1.1, 2.0, 3.5, math.inf):
+            stack = _Stack(np.array([np.diag(np.exp(row)).astype(complex)
+                                     for row in np.vstack([logs, *exact])]))
+            radii = _radii(stack, p)
+            eigs = stack.eig().eigenvalues
+            arrays, values = _project(stack, p)
+            if p == math.inf:
+                assert radii.count(2.0) == radii.count(0.5) == 100
+            for k, radius in enumerate(radii):
+                assert np.array_equal(values[k], eigs[k] ** (1.0 / radius))
+            assert np.array_equal(arrays, _assemble(stack.eig().unitary, values))
+
     @pytest.mark.parametrize("dim", [2, 3, 5, 16])
     def test_svd_and_trace_stacks(self, dim):
         rng = make_rng(dim + 2)
@@ -340,6 +374,70 @@ class TestStackedStages:
                 float(norm(A[k])) * float(norm(b_inv[k])) * float(norm(C[k])))
             assert brackets[k] == float(norm(bracket[k])) / (
                 float(norm(X[k])) * float(norm(Y[k])))
+
+
+class TestConditionGuard:
+    """The Gamma triple's condition guard tests a chunk's first candidate
+    bases in one cond call; a failing sample draws on from its own stream."""
+
+    CONFIG = SampleConfig(dim=3, ensemble="gamma_commuting_triple", seed=9)
+
+    def _alone(self, index):
+        """One sample's draw by the per-sample loop: candidates from its own
+        generator until one passes the guard, then its log-spectra."""
+        rng = _generator(mix_seed(self.CONFIG.seed, index))
+        for _ in range(experiments.CONDITION_GUARD_ATTEMPTS):
+            basis = _candidate(rng, 3)
+            if np.linalg.cond(basis) <= experiments.CONDITION_GUARD:
+                return basis, rng.standard_normal((3, 3))
+        return None
+
+    def _first_fails(self, count):
+        """Whether each sample's first candidate fails the guard."""
+        return [np.linalg.cond(_candidate(_generator(mix_seed(self.CONFIG.seed, index)), 3))
+                > experiments.CONDITION_GUARD for index in range(count)]
+
+    @pytest.mark.parametrize("guard", [1e3, 6.0])
+    def test_chunk_draws_equal_each_sample_draw(self, monkeypatch, guard):
+        monkeypatch.setattr(experiments, "CONDITION_GUARD", guard)
+        if guard < 1e3:
+            assert 0 < sum(self._first_fails(40)) < 40
+        items, error = _draws(self.CONFIG, range(40))
+        assert error is None and [index for index, _ in items] == list(range(40))
+        for index, draw in items:
+            for alone in (_draw(self.CONFIG, index), self._alone(index)):
+                assert all(np.array_equal(x, y) for x, y in zip(draw, alone, strict=True))
+
+    def test_exhausted_guard_raises_after_earlier_rows(self, monkeypatch):
+        monkeypatch.setattr(experiments, "CONDITION_GUARD", 20.0)
+        monkeypatch.setattr(experiments, "CONDITION_GUARD_ATTEMPTS", 1)
+        failing = self._first_fails(40).index(True)
+        assert failing > 0 and self._alone(failing) is None
+        with pytest.raises(RuntimeError, match="in 1 attempts"):
+            _draw(self.CONFIG, failing)
+        items, error = _draws(self.CONFIG, range(40))
+        assert [index for index, _ in items] == list(range(failing))
+        assert isinstance(error, RuntimeError)
+        # A campaign streams the rows of every earlier sample, then raises.
+        rows = []
+        with pytest.raises(RuntimeError, match="no conjugating matrix"):
+            for chunk in _campaign_chunks(self.CONFIG, ["distance_lower_bound"], [2.0], 40):
+                rows.extend(chunk)
+        assert [row.index for row in rows] == list(range(failing))
+
+    def test_one_cond_call_per_chunk(self, monkeypatch):
+        stacks = []
+        cond = np.linalg.cond
+
+        def counted(x, *args):
+            stacks.append(np.ndim(x) == 3)
+            return cond(x, *args)
+
+        assert not any(self._first_fails(30))
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        monkeypatch.setattr(experiments, "CHUNK_ROWS", 10)
+        chunks = list(_campaign_chunks(self.CONFIG, ["distance_lower_bound"], [2.0], 30))
+        assert len(chunks) == 3 and stacks == [True] * 3
 
 
 def _per_sample_logs(config, index):

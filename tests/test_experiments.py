@@ -27,7 +27,10 @@ from spdfinsler.matcore import _eigh_array
 from spdfinsler.experiments import (
     CHECKERS,
     CSV_COLUMNS,
+    ScanRecord,
+    ScanTable,
     _campaign_chunks,
+    _csv_text,
     _gap_study,
     _gated,
     _generator,
@@ -453,3 +456,69 @@ class TestCsv:
     def test_write_failure_carries_path(self):
         with pytest.raises(OSError, match="no/such/dir"):
             write_csv([], "/no/such/dir/rows.csv")
+
+
+def _per_row_csv(table):
+    """The CSV lines of a table by the per-row rule: lhs, rhs, gap and the
+    other float columns at 17 significant digits, verdicts as true/false,
+    every other value by %s."""
+    floats = {"spread", "epsilon", "p", "lhs", "rhs", "gap", "commutator_defect",
+              "gamma_defect_product", "gamma_defect_bracket"}
+
+    def text(name, value):
+        if name == "satisfied":
+            return "true" if value else "false"
+        return ("%.17g" if name in floats else "%s") % (value,)
+
+    return "".join(",".join(text(name, getattr(record, name)) for name in CSV_COLUMNS) + "\n"
+                   for record in table)
+
+
+class TestConstantColumns:
+    """A chunk formats its constant columns once; every byte stays that of
+    the per-row rule."""
+
+    @staticmethod
+    def _records(count, **columns):
+        base = dict(index=3, dim=2, spread=1.0, ensemble="generic", seed=5, epsilon=0.25,
+                    inequality="conde_2uc", p=1.5, lhs=1.25, rhs=0.5, gap=0.75,
+                    satisfied=True, commutator_defect=0.125, gamma_defect_product=math.nan,
+                    gamma_defect_bracket=math.nan)
+        rows = [dict(base) for _ in range(count)]
+        for name, values in columns.items():
+            for row, value in zip(rows, values):
+                row[name] = value
+        return ScanTable.of([ScanRecord(**row) for row in rows])
+
+    @pytest.mark.parametrize("columns", [
+        {"p": [0.0, -0.0, 0.0]},
+        {"p": [-0.0, 0.0, 0.0], "epsilon": [-0.0, -0.0, -0.0]},
+        {"commutator_defect": [0.0, 0.0, -0.0], "lhs": [0.0, -0.0, 0.0]},
+        {"gamma_defect_product": [float("nan"), float("nan"), float("nan")]},
+        {"spread": [math.nan, float("nan"), math.nan]},
+        {"index": [1, 1.0, True], "seed": [0, 0.0, False], "dim": [2, 2, 2.0]},
+        {"index": [0.0, -0.0, 0.0], "seed": [0, 0, 0]},
+        {"satisfied": [False, False, False], "inequality": ["a%b", "a%b", "a%b"]},
+        {"ensemble": ["50%", "50%", "50%"], "p": [math.inf, math.inf, math.inf]},
+        {},
+    ], ids=["zeros", "negative-zero-first", "zero-sides", "distinct-nans", "mixed-nans",
+           "equal-across-types", "zeros-printed-by-str", "escapes", "percent-and-inf", "all-constant"])
+    def test_renders_as_the_per_row_rule(self, columns):
+        table = self._records(3, **columns)
+        assert _csv_text(table) == _per_row_csv(table)
+        assert render_csv(table) == ",".join(CSV_COLUMNS) + "\n" + _per_row_csv(table)
+
+    def test_one_row_and_empty_tables(self):
+        table = self._records(1, p=[-0.0])
+        assert _csv_text(table) == _per_row_csv(table)
+        assert _csv_text(ScanTable()) == ""
+
+    def test_campaign_and_gap_study_chunks(self):
+        ineqs = ["clarkson_mccarthy", "log_majorization", "conde_2uc"]
+        for config in (SampleConfig(dim=2, ensemble="gamma_commuting_triple", seed=0),
+                       SampleConfig(dim=3, ensemble="near_commuting", epsilon=0.5, seed=4)):
+            for chunk in _campaign_chunks(config, ineqs, [1.5, 2.0], 5):
+                assert _csv_text(chunk) == _per_row_csv(chunk)
+        for chunk in _gap_study(SampleConfig(dim=2, ensemble="commuting_pair", seed=7), 3,
+                                [0.0, 0.5, 1.0], [2.0, math.inf]):
+            assert _csv_text(chunk) == _per_row_csv(chunk)

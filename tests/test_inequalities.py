@@ -1,5 +1,7 @@
 """Tests for the oriented-gap inequality checkers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from spdfinsler import (
     project_to_unit_sphere,
     run_campaign,
 )
+from spdfinsler.inequalities import _satisfied
 
 import oracles
 from conftest import make_rng, random_hermitian, random_invertible, random_spd
@@ -495,3 +498,74 @@ class TestCheckerTable:
                     _call_public(name, p)
         records = run_campaign(SampleConfig(dim=2, seed=34), [name], RANGE_PROBES, 1)
         assert {r.p for r in records} == expected
+
+
+# Fixed operands of the diagnostics pins.
+PIN_X = np.array([[2.0, 0.5], [0.5, -1.0]])
+PIN_Y = np.array([[0.3, -0.2], [-0.2, 1.5]])
+PIN_A = SpdMatrix([[2.0, 0.5], [0.5, 1.0]])
+PIN_B = SpdMatrix([[1.0, -0.3], [-0.3, 3.0]])
+PIN_C = SpdMatrix([[1.5, 0.2], [0.2, 0.7]])
+
+
+class TestDiagnostics:
+    """Each public report's diagnostics: its keys in order, values frozen to
+    1e-12, and equal bit for bit to the report's sides or to the public
+    quantities they name."""
+
+    @staticmethod
+    def _pinned(report, expected):
+        assert list(report.diagnostics) == list(expected)
+        for key, value in expected.items():
+            assert report.diagnostics[key] == pytest.approx(value, rel=1e-12), key
+            assert type(report.diagnostics[key]) is float
+
+    def test_clarkson_mccarthy(self):
+        frozen = {1.5: (10.570310038866472, 6.161877189644343),
+                  3.0: (36.86627533638824, 13.895402395547238)}
+        for p, (combined, separate) in frozen.items():
+            lower, upper = check_clarkson_mccarthy(PIN_X, PIN_Y, p)
+            for report in (lower, upper):
+                self._pinned(report, {"combined_power_sum": combined,
+                                      "separate_power_sum": separate})
+            combined = lower.diagnostics["combined_power_sum"]
+            separate = lower.diagnostics["separate_power_sum"]
+            assert (lower.lhs, lower.rhs, upper.lhs) == (2.0 * separate, combined, combined)
+            assert upper.rhs == 2.0 ** (p - 1.0) * separate
+            assert upper.diagnostics == lower.diagnostics
+
+    def test_two_uniform_convexity_norm(self):
+        report = check_two_uniform_convexity_norm(PIN_X, PIN_Y, 1.5)
+        self._pinned(report, {"norm_x": 2.5726624034263814, "norm_y": 1.606103792953181,
+                              "norm_plus": 2.4787898183037393,
+                              "norm_minus": 3.542547249468374})
+        d = report.diagnostics
+        assert report.lhs == 0.5 * (d["norm_plus"]**2 + d["norm_minus"]**2)
+        assert report.rhs == d["norm_x"]**2 + 0.5 * d["norm_y"]**2
+
+    def test_conde_2uc(self):
+        report = check_conde_2uc(PIN_A, PIN_B, PIN_C, 1.5)
+        self._pinned(report, {"d_ac": 0.48091997201383163, "d_bc": 1.7093223212168416,
+                              "d_ab": 1.7081121751822654, "d_mid": 0.9089977167898168,
+                              "gamma_defect_product": 0.1046690201264452,
+                              "gamma_defect_bracket": 0.13675656233237216})
+        d = report.diagnostics
+        assert (d["d_ac"], d["d_bc"], d["d_ab"]) == (
+            delta_p(PIN_A, PIN_C, 1.5), delta_p(PIN_B, PIN_C, 1.5), delta_p(PIN_A, PIN_B, 1.5))
+        assert d["d_mid"] == delta_p(geometric_mean(PIN_A, PIN_B), PIN_C, 1.5)
+        gamma = gamma_commute(PIN_A, PIN_B, PIN_C)
+        assert (d["gamma_defect_product"], d["gamma_defect_bracket"]) == (
+            gamma.defect_product, gamma.defect_bracket)
+
+
+def test_verdicts_follow_the_scalar_rule():
+    # The vectorized verdict against gap >= -rtol * max(1, |lhs|, |rhs|)
+    # on Python floats, NaN and infinite sides included.
+    edges = [0.0, -0.0, 1.0, -1.0, 1e-9, -1e-9, 1.5e9, -2e300, math.inf, -math.inf, math.nan]
+    lhs, rhs = zip(*[(l, r) for l in edges for r in edges])
+    for gap in ([l - r for l, r in zip(lhs, rhs)], [-1e-9] * len(lhs), [-2e-9] * len(lhs)):
+        for rtol in (1e-9, 0.0, 1e-3):
+            expected = [g >= -rtol * max(1.0, abs(l), abs(r)) for l, r, g in zip(lhs, rhs, gap)]
+            got = _satisfied(list(lhs), list(rhs), gap, rtol)
+            assert got == expected
+            assert all(type(verdict) is bool for verdict in got)
