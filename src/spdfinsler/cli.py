@@ -104,7 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma list of inequality names, or 'all' (drops "
                               "checkers whose range excludes every requested --p)")
         cmd.add_argument("--tol", type=float, default=None,
-                         help="override the relative satisfaction tolerance (default 1e-9)")
+                         help="override the relative tolerance of the gap rule, gap >= -tol * "
+                              "max(1, |lhs|, |rhs|) (default 1e-9); log_majorization "
+                              "keeps its majorization verdict")
     data_command("gap-study", "gap vs noncommutativity scan from a commuting base pair",
                  dims="3", ps="2", samples=1, eps=_DEFAULT_EPS,
                  samples_help="number of base pairs per dimension (default 1)",

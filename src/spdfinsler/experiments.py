@@ -32,16 +32,16 @@ from .matcore import (
     _operands,
     _Stack,
 )
-from .geodesic import _gamma_defects, _project, _sandwich, _sandwich_log_eigs
+from .geodesic import GeodesicCurve, _gamma_defects, _project
 from .inequalities import (
     CHECKERS,
+    REPORT_RTOL,
     CheckerRangeError,
     _distance_spectra,
     _evaluate,
     _inputs,
     _lemma_spectra,
     _pair_spectra,
-    _satisfied,
     _sphere_spectra,
     _triple_spectra,
 )
@@ -165,15 +165,14 @@ def _candidate(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
-def _gamma_draws(rngs: list, config: SampleConfig) -> tuple[list[tuple], RuntimeError | None]:
+def _gamma_draws(rngs: list, config: SampleConfig) -> list[tuple]:
     """The gamma_commuting_triple draws of one generator each: its first
     candidate basis whose condition is at most CONDITION_GUARD, then its
     log-spectra rows.  The first candidates of all generators are tested by
     one ``cond`` call on their stack; only a generator whose candidate fails
     draws more, from its own stream, so every stream is used as if alone.
-    Returns the draws of the generators before the first that finds no
-    basis in CONDITION_GUARD_ATTEMPTS candidates, and that one's error
-    (None when every generator draws)."""
+    Raises the error of the first generator that finds no basis in
+    CONDITION_GUARD_ATTEMPTS candidates."""
     dim = config.dim
     candidates = [_candidate(rng, dim) for rng in rngs]
     passed = (np.linalg.cond(np.array(candidates)) <= CONDITION_GUARD).tolist()
@@ -184,12 +183,12 @@ def _gamma_draws(rngs: list, config: SampleConfig) -> tuple[list[tuple], Runtime
             basis, attempts = _candidate(rng, dim), attempts + 1
             ok = np.linalg.cond(basis) <= CONDITION_GUARD
         if not ok:
-            return draws, RuntimeError(
+            raise RuntimeError(
                 f"no conjugating matrix with condition <= {CONDITION_GUARD:g} found "
                 f"in {CONDITION_GUARD_ATTEMPTS} attempts"
             )
         draws.append((basis, config.spread * rng.standard_normal((3, dim))))
-    return draws, None
+    return draws
 
 
 def _draw(config: SampleConfig, index: int) -> tuple:
@@ -211,30 +210,20 @@ def _draw(config: SampleConfig, index: int) -> tuple:
     if config.ensemble == "commuting_triple":
         return _normals(rng, dim), spectra(3)
     if config.ensemble == "gamma_commuting_triple":
-        draws, error = _gamma_draws([rng], config)
-        if error is not None:
-            raise error
-        return draws[0]
+        return _gamma_draws([rng], config)[0]
     return _normals(rng, dim), spectra(2), _normals(rng, dim), _normals(rng, dim)
 
 
-def _draws(config: SampleConfig, indices: range) -> tuple[list[tuple], RuntimeError | None]:
+def _draws(config: SampleConfig, indices: range) -> list[tuple]:
     """The ``(index, draw)`` items of the samples ``indices``, each draw as
-    ``_draw`` gives it, up to the first sample whose draw fails, and that
-    sample's error (None when every sample draws).  The Gamma triple's
-    condition guard runs once for them all (see ``_gamma_draws``); every
-    other ensemble draws sample by sample through ``_draw``."""
+    ``_draw`` gives it; raises the error of the first sample whose draw
+    fails.  The Gamma triple's condition guard runs once for them all (see
+    ``_gamma_draws``); every other ensemble draws sample by sample through
+    ``_draw``."""
     if config.ensemble == "gamma_commuting_triple":
-        draws, error = _gamma_draws(
-            [_generator(mix_seed(config.seed, index)) for index in indices], config)
-        return list(zip(indices, draws)), error
-    items = []
-    for index in indices:
-        try:
-            items.append((index, _draw(config, index)))
-        except RuntimeError as exc:
-            return items, exc
-    return items, None
+        return list(zip(indices, _gamma_draws(
+            [_generator(mix_seed(config.seed, index)) for index in indices], config)))
+    return [(index, _draw(config, index)) for index in indices]
 
 
 # Samples stacked one row each: the gated SPD triple (a, b, c ``_Stack``s;
@@ -375,16 +364,11 @@ class ScanTable:
             column.extend(other.columns[name])
 
 
-def _table(count: int, sides: tuple[list, ...], tol_rel: float | None = None,
-           **columns) -> ScanTable:
+def _table(count: int, sides: tuple[list, ...], **columns) -> ScanTable:
     """The one column builder: ``count`` rows whose sides come from checker
-    columns ``(lhs, rhs, gap, satisfied)``, ``tol_rel`` optionally
-    overriding their verdicts; every other column is a list, or one value
-    repeated over the rows."""
-    lhs, rhs, gap, satisfied = sides
-    if tol_rel is not None:
-        satisfied = _satisfied(lhs, rhs, gap, tol_rel)
-    columns.update(lhs=lhs, rhs=rhs, gap=gap, satisfied=satisfied)
+    columns ``(lhs, rhs, gap, satisfied)``; every other column is a list,
+    or one value repeated over the rows."""
+    columns.update(zip(("lhs", "rhs", "gap", "satisfied"), sides))
     return ScanTable({name: value if isinstance(value, list) else [value] * count
                       for name, value in columns.items()})
 
@@ -410,7 +394,7 @@ def _sphere_families(samples: _Samples, orders: list[float]) -> dict:
     families = {}
     for p in orders:
         a, b = (_Stack(_project(m, p)[0]) for m in (samples.a, samples.b))
-        families[p] = _sphere_spectra(a, b), _defects(a.array, b.array)
+        families[p] = _sphere_spectra(GeodesicCurve._of(a, b)), _defects(a.array, b.array)
     return families
 
 
@@ -418,19 +402,17 @@ def _families(samples: _Samples, plan) -> dict:
     """Each family the plan reads, built once over all samples in the
     plan's order of first use, with the commutator defect it reports: of
     (a, b), of the logs, or of the projected pair at each sphere order.
-    The distance and triple families share the (a, b) sandwich and its
-    spectrum."""
+    The distance and triple families read one (a, b) geodesic."""
     a, b, logs = samples.a, samples.b, (samples.log_a, samples.log_b)
-    # What two families share, built on first use.
+    ab = GeodesicCurve._of(a, b)
+    # The defects two families share, taken on first use.
     log_defects = cache(lambda: _defects(*logs))
     ab_defects = cache(lambda: _defects(a.array, b.array))
-    ab = cache(lambda: _sandwich(a, b))
-    d_ab = cache(lambda: _sandwich_log_eigs(a, b, ab()))
     builders = {
         "norms": lambda: (_pair_spectra(*logs), log_defects()),
         "hermitian_pair": lambda: (_lemma_spectra(*logs), log_defects()),
-        "distance": lambda: (_distance_spectra(a, b, d_ab()), ab_defects()),
-        "triple": lambda: (_triple_spectra(a, b, samples.c, d_ab(), ab()), ab_defects()),
+        "distance": lambda: (_distance_spectra(ab), ab_defects()),
+        "triple": lambda: (_triple_spectra(ab, samples.c), ab_defects()),
         "sphere": lambda: _sphere_families(samples, list(dict.fromkeys(
             p for _, checker, p in plan if checker.family == "sphere"))),
     }
@@ -442,7 +424,7 @@ def _families(samples: _Samples, plan) -> dict:
 
 
 def _campaign_rows(config: SampleConfig, items: list[tuple], plan, slots,
-                   tol_rel: float | None) -> ScanTable:
+                   rtol: float) -> ScanTable:
     """The rows of the drawn samples, ``(index, draw)`` items: every stage
     one batched call over all of them, the checker formulas mapped over
     columns of Python floats.  Rows keep each report's four columns (lhs,
@@ -458,7 +440,7 @@ def _campaign_rows(config: SampleConfig, items: list[tuple], plan, slots,
         key = (checker.family, p)
         if key not in inputs:  # each family's norms once per order, for all its checkers
             inputs[key] = _inputs(checker.family, values, p)
-        evaluated.append(_evaluate(name, inputs[key], p))
+        evaluated.append(_evaluate(name, inputs[key], p, rtol))
         defects.append(pair_defects)
     width, count = len(slots), len(indices) * len(slots)
 
@@ -472,7 +454,7 @@ def _campaign_rows(config: SampleConfig, items: list[tuple], plan, slots,
 
     sides = [interleave([evaluated[k][j][column] for _, _, k, j in slots]) for column in range(4)]
     return _table(
-        count, sides, tol_rel,
+        count, sides,
         index=interleave([indices] * width),
         dim=config.dim, spread=config.spread, ensemble=config.ensemble, seed=config.seed,
         epsilon=config.epsilon,
@@ -488,23 +470,23 @@ def _chunked(config: SampleConfig, count: int, rows, rows_per_item: int, weight:
     """The stream of ``rows(items)`` tables of samples 0 .. count - 1, one per
     chunk (see CHUNK_WORK and CHUNK_ROWS), each item an (index, draw) pair
     weighing ``weight`` campaign samples and giving ``rows_per_item`` rows.
-    On a failure it raises, after the chunks before it, what a loop over
-    the samples would: the error of the first failing sample, found by
-    running the chunk's samples one at a time; a draw-time error only after
-    the rows of every earlier sample."""
+    A chunk that fails, drawing or after, is rerun one sample at a time, so
+    the stream holds the rows of every sample before the first failing one
+    and then raises that sample's error, as a loop over the samples would."""
     size = max(1, min(CHUNK_WORK // (weight * config.dim**3), CHUNK_ROWS // rows_per_item))
     for start in range(0, count, size):
-        items, draw_error = _draws(config, range(start, min(count, start + size)))
-        if items:
-            try:
-                table = rows(items)
-            except (ValueError, RuntimeError):
-                for item in items:
-                    rows([item])
-                raise
+        indices = range(start, min(count, start + size))
+        try:
+            items = _draws(config, indices)
+            table = rows(items)
+        except (ValueError, RuntimeError) as exc:
+            error = exc
+        else:
             yield table
-        if draw_error is not None:
-            raise draw_error
+            continue
+        for index in indices:
+            yield rows(_draws(config, range(index, index + 1)))
+        raise error
 
 
 def _joined(chunks) -> ScanTable:
@@ -526,7 +508,8 @@ def _campaign_chunks(config: SampleConfig, inequalities: Sequence[str],
             raise ValueError(f"unknown inequality {name!r}; choose from {sorted(CHECKERS)}")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    if tol_rel is not None and not math.isfinite(tol_rel):
+    rtol = REPORT_RTOL if tol_rel is None else tol_rel
+    if not math.isfinite(rtol):
         raise ValueError(f"tol_rel must be finite, got {tol_rel}")
     p_list = [float(p) for p in p_values]
     plan = []
@@ -543,7 +526,7 @@ def _campaign_chunks(config: SampleConfig, inequalities: Sequence[str],
                     for j, report in enumerate(checker.names(p))),
                    key=lambda slot: (slot[0], -1.0 if math.isnan(slot[1]) else slot[1]))
     return _chunked(config, count,
-                    lambda items: _campaign_rows(config, items, plan, slots, tol_rel),
+                    lambda items: _campaign_rows(config, items, plan, slots, rtol),
                     len(slots))
 
 
@@ -559,8 +542,10 @@ def run_campaign(config: SampleConfig, inequalities: Sequence[str],
     and each checker family the plan needs is built once per chunk (the
     sphere family once per order, from that order's projections) and every
     (checker, order) row is evaluated against it.  Rows come in (index,
-    inequality, p) order, and ``tol_rel`` optionally overrides the
-    satisfaction tolerance recorded per row.
+    inequality, p) order.  ``tol_rel`` optionally overrides the relative
+    tolerance of the gap rule behind each row's verdict (REPORT_RTOL);
+    ``log_majorization`` keeps its own verdict, full majorization at the
+    majorization tolerance.
     """
     return _joined(_campaign_chunks(config, inequalities, p_values, count, tol_rel=tol_rel))
 
@@ -607,7 +592,7 @@ def _rays(A: _Stack, B: _Stack, grid: list[float], orders: list[float],
     A.power(-0.5)
     A.log()
     A = A.repeat(width)
-    spectra = _distance_spectra(A, points)
+    spectra = _distance_spectra(GeodesicCurve._of(A, points))
     defects = _defects(A.array, points.array)
     reports = [_evaluate("distance_lower_bound", _inputs("distance", spectra, q), q)[0]
                for q in orders]

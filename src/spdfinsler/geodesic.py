@@ -18,6 +18,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .matcore import (
+    EigenDecomposition,
     HermitianMatrix,
     SpdMatrix,
     _Stack,
@@ -65,40 +66,10 @@ def _descending_logs(w: np.ndarray) -> np.ndarray:
     return np.log(np.ascontiguousarray(w).ravel()[::-1])[::-1].reshape(w.shape)[:, ::-1]
 
 
-def _sandwich(A: _Stack, B: _Stack) -> np.ndarray:
-    """A^{-1/2} B A^{-1/2} for each row of B (A one matrix or one per row),
-    Hermitian: the sandwich that the geodesic factorization decomposes and
-    whose log-spectrum is delta_p's."""
-    return _congruence(A.power(-0.5), B.array)
-
-
-def _sandwich_log_eigs(A: _Stack, B: _Stack, sandwich: np.ndarray | None = None) -> np.ndarray:
-    """log of the eigenvalues of A^{-1/2} B A^{-1/2}, descending, for each
-    row of B (A one matrix or one per row), from one eigvalsh (not the
-    mean's eigh: their bits differ), checked positive.  ``sandwich`` is
-    ``_sandwich(A, B)`` when it is already formed.  A row equal to its A
-    gives the exact zero spectrum, so delta_p(A, A) is exactly 0."""
-    equal = (B.array == A.array).all(axis=(1, 2))
-    logs = np.zeros(equal.shape + B.array.shape[-1:])
-    if not equal.all():
-        if sandwich is None:
-            sandwich = _sandwich(A, B)
-        w = np.linalg.eigvalsh(sandwich)[~equal]
-        logs[~equal] = _descending_logs(_require_positive(w))
-    return logs
-
-
 def _log_euclidean_eigs(A: _Stack, B: _Stack) -> np.ndarray:
     """Eigenvalues of log A - log B, for each row of B (A one matrix or one
     per row): their l^p norm is the log-Euclidean distance."""
     return np.linalg.eigvalsh(A.log() - B.log())
-
-
-def _weighted_mean(A: _Stack, B: _Stack, t: float,
-                   sandwich: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """A #_t B of each row pair of two stacks (see ``GeodesicCurve._points``);
-    ``sandwich`` is ``_sandwich(A, B)`` when it is already formed."""
-    return object.__new__(GeodesicCurve)._factor(A, B, sandwich)._points(t)
 
 
 def _radii(U: _Stack, p: float) -> list[float]:
@@ -148,41 +119,75 @@ def _gamma_defects(A: _Stack, B: _Stack, C: _Stack) -> tuple[list[float], list[f
 
 
 class GeodesicCurve:
-    """The geodesic t -> A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}.
+    """The geodesic t -> A^{1/2} M^t A^{1/2}, M = A^{-1/2} B A^{-1/2}.
 
-    The factorization is taken eagerly at construction, after which the
-    curve is immutable.  ``eval`` accepts any real t; values outside [0, 1]
-    extrapolate the geodesic line.  The private methods run on stacks, one
-    geodesic per row; the public ones are their one-row case.
+    The one place a pair's sandwich M is formed: its log-spectrum (whose
+    l^p norm is delta_p(A, B)), its decomposition and the curve's points
+    all read it.  The public curve is factored eagerly at construction,
+    after which it is immutable.  ``eval`` accepts any real t; values
+    outside [0, 1] extrapolate the geodesic line.  The private methods run
+    on stacks, one geodesic per row; the public ones are their one-row case.
     """
 
-    __slots__ = ("_a", "_sqrt_a", "_mid", "_equal")
+    __slots__ = ("_a", "_b", "_equal", "_mid", "_dec", "_logs")
 
     def __init__(self, A: SpdMatrix, B: SpdMatrix):
-        self._factor(*_operands(A, B))
+        self._start(*_operands(A, B))
+        self._eig()
 
-    def _factor(self, A: _Stack, B: _Stack,
-                sandwich: np.ndarray | None = None) -> "GeodesicCurve":
-        """The one factorization of the geodesic from each row of A to the
-        row of B: A^{1/2} and the sandwiches M = A^{-1/2} B A^{-1/2} (formed
-        here unless ``sandwich`` is ``_sandwich(A, B)``), decomposed and
-        checked positive but on the rows where B equals A."""
+    @classmethod
+    def _of(cls, A: _Stack, B: _Stack) -> "GeodesicCurve":
+        """The geodesic from each row of A (one matrix, or one per row) to
+        the row of B: its sandwich, decomposition, log-spectrum and A^{1/2}
+        are each computed on first use."""
+        curve = object.__new__(cls)
+        curve._start(A, B)
+        return curve
+
+    def _start(self, A: _Stack, B: _Stack) -> None:
+        """The ends and the rows where B equals A; nothing computed yet."""
+        self._a, self._b = A, B
         self._equal = (B.array == A.array).all(axis=(1, 2))
-        self._mid = _Stack(_sandwich(A, B) if sandwich is None else sandwich)
-        _require_positive(self._mid.eig().eigenvalues[~self._equal])
-        self._a, self._sqrt_a = A, A.power(0.5)
-        return self
+        self._mid = self._dec = self._logs = None
+
+    def _m(self) -> _Stack:
+        """The sandwiches M of every row, formed on first use."""
+        if self._mid is None:
+            self._mid = _Stack(_congruence(self._a.power(-0.5), self._b.array))
+        return self._mid
+
+    def _eig(self) -> EigenDecomposition:
+        """M's decomposition, taken on first use and checked positive there,
+        before any power of it, but on the rows where B equals A."""
+        if self._dec is None:
+            dec = self._m().eig()
+            _require_positive(dec.eigenvalues[~self._equal])
+            self._dec = dec
+        return self._dec
+
+    def _log_eigs(self) -> np.ndarray:
+        """log of M's eigenvalues, descending, for each row, from one
+        eigvalsh (not the decomposition's eigh: their bits differ), checked
+        positive.  A row whose B equals A gives the exact zero spectrum, and
+        M is not formed when every row does, so delta_p(A, A) is exactly 0."""
+        if self._logs is None:
+            logs = np.zeros(self._equal.shape + self._b.array.shape[-1:])
+            if not self._equal.all():
+                w = np.linalg.eigvalsh(self._m().array)[~self._equal]
+                logs[~self._equal] = _descending_logs(_require_positive(w))
+            self._logs = logs
+        return self._logs
 
     def _inner(self, values: np.ndarray) -> np.ndarray:
         """A^{1/2} f(M) A^{1/2} of each row, for the spectral values f(lambda) of M."""
-        return _congruence(self._sqrt_a, _assemble(self._mid.eig().unitary, values))
+        return _congruence(self._a.power(0.5), _assemble(self._eig().unitary, values))
 
     def _points(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """The point at t of each row and its M^t's values (A where B equals A)."""
-        values = self._mid.eig().eigenvalues ** float(t)
+        values = self._eig().eigenvalues ** float(t)
         points = self._inner(values)
         _require_positive(values[~self._equal])
-        points[self._equal] = self._a.array[self._equal]
+        points[self._equal] = np.broadcast_to(self._a.array, points.shape)[self._equal]
         return points, values
 
     def _zero_where_equal(self, arrays: np.ndarray) -> np.ndarray:
@@ -193,7 +198,7 @@ class GeodesicCurve:
     def log_m(self) -> HermitianMatrix:
         """log(A^{-1/2} B A^{-1/2}); its p-norm is delta_p(A, B).  Exactly
         zero when B equals A."""
-        return HermitianMatrix._adopt(self._zero_where_equal(self._mid.log())[0])
+        return HermitianMatrix._adopt(self._zero_where_equal(self._m().log())[0])
 
     def eval(self, t: float) -> SpdMatrix:
         """Point on the geodesic at parameter t (SPD for every real t); A
@@ -206,7 +211,7 @@ class GeodesicCurve:
     def derivative(self, t: float) -> HermitianMatrix:
         """Analytic velocity A^{1/2} M^t log(M) A^{1/2} at parameter t;
         exactly zero when B equals A."""
-        lam = self._mid.eig().eigenvalues
+        lam = self._eig().eigenvalues
         velocity = self._inner(lam ** float(t) * np.log(lam))
         return HermitianMatrix._adopt(self._zero_where_equal(velocity)[0])
 
@@ -221,7 +226,7 @@ def weighted_mean(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
     A, B = _operands(A, B)
     if np.array_equal(A.array, B.array):
         return A._source
-    points, values = _weighted_mean(A, B, t)
+    points, values = GeodesicCurve._of(A, B)._points(t)
     return SpdMatrix._adopt(points[0], values[0])
 
 
@@ -236,7 +241,7 @@ def delta_p(A: SpdMatrix, B: SpdMatrix, p) -> float:
     Symmetric in (A, B) and zero exactly when A = B.
     """
     p = _validate_p(p)
-    return _lp_rows(_sandwich_log_eigs(*_operands(A, B)), p)[0]
+    return _lp_rows(GeodesicCurve._of(*_operands(A, B))._log_eigs(), p)[0]
 
 
 def delta_p_to_identity(U: SpdMatrix, p) -> float:

@@ -40,12 +40,10 @@ from .schatten import (
 )
 from .geodesic import (
     SPHERE_TOL,
+    GeodesicCurve,
     _gamma_defects,
     _log_euclidean_eigs,
-    _sandwich,
-    _sandwich_log_eigs,
     _radii,
-    _weighted_mean,
 )
 
 __all__ = [
@@ -103,7 +101,7 @@ class InequalityReport:
 
 
 def _satisfied(lhs: list[float], rhs: list[float], gap: list[float],
-               rtol: float = REPORT_RTOL) -> list[bool]:
+               rtol: float) -> list[bool]:
     """The verdict rule, row by row: gap >= -rtol * max(1, |lhs|, |rhs|),
     over float64 arrays; fmax skips a NaN side as Python's max does."""
     scale = np.fmax(np.fmax(1.0, np.abs(lhs)), np.abs(rhs))
@@ -144,18 +142,20 @@ class Checker:
     (None for the p-independent log-majorization lemma).  ``family`` names
     the values it reads (see the family builders below).  ``names(p)`` are
     the names of its reports at order p, which depend on p alone, and
-    ``evaluate(inputs, p)`` turns the family's inputs at order p (see
+    ``evaluate(inputs, p, rtol)`` turns the family's inputs at order p (see
     ``_inputs``), columns with one entry per sample, into one report per
     name: columns ``(lhs, rhs, gap, satisfied)``, the formulas run on
-    Python floats, plus its diagnostics as a dict of columns.  A campaign
-    reads the four columns only; a public ``check_*`` report takes its
-    ``diagnostics`` from the first entry of each diagnostic column.
+    Python floats and the verdicts by the gap rule at relative tolerance
+    ``rtol`` (see ``_satisfied``), plus its diagnostics as a dict of
+    columns.  A campaign reads the four columns only; a public ``check_*``
+    report takes its ``diagnostics`` from the first entry of each
+    diagnostic column.
     """
 
     p_range: PRange | None
     family: str
     names: Callable[[float], tuple[str, ...]]
-    evaluate: Callable[[dict, float], tuple[tuple, ...]]
+    evaluate: Callable[[dict, float, float], tuple[tuple, ...]]
 
     def orders(self, p_values) -> list[float]:
         """The requested orders a campaign evaluates this checker at: those
@@ -179,46 +179,30 @@ def _pair_spectra(X: np.ndarray, Y: np.ndarray) -> dict[str, np.ndarray]:
     return dict(zip(("norm_x", "norm_y", "norm_plus", "norm_minus"), sing.swapaxes(0, 1)))
 
 
-def _distance_spectra(A: _Stack, B: _Stack,
-                      d_ab: np.ndarray | None = None) -> dict[str, np.ndarray]:
+def _distance_spectra(ab: GeodesicCurve) -> dict[str, np.ndarray]:
     """The "distance" family: the log-spectra behind delta_p(A, B) and
-    ||log A - log B||_p for each row of B (A one matrix, or one per row);
-    ``d_ab`` is the (A, B) sandwich spectrum when it is already computed."""
-    if d_ab is None:
-        d_ab = _sandwich_log_eigs(A, B)
-    return {"delta_p": d_ab, "log_euclidean": _log_euclidean_eigs(A, B)}
+    ||log A - log B||_p for each row of the curves from A to B."""
+    return {"delta_p": ab._log_eigs(), "log_euclidean": _log_euclidean_eigs(ab._a, ab._b)}
 
 
-def _triple_spectra(A: _Stack, B: _Stack, C: _Stack, d_ab: np.ndarray | None = None,
-                    ab: np.ndarray | None = None) -> dict[str, np.ndarray]:
+def _triple_spectra(ab: GeodesicCurve, C: _Stack) -> dict[str, np.ndarray]:
     """The "triple" family: sandwich log-spectra of (A,C), (B,C), (A,B) and
-    (A#B,C); ``d_ab`` is the (A, B) one and ``ab`` the (A, B) sandwich when
-    they are already computed.  The mean and the (A, B) spectrum read one
-    formed sandwich."""
-    if ab is None:
-        ab = _sandwich(A, B)
-    mean = _Stack(_weighted_mean(A, B, 0.5, ab)[0])
-    d_ac = _sandwich_log_eigs(A, C)
-    if d_ab is None:
-        d_ab = _sandwich_log_eigs(A, B, ab)
+    (A#B,C), for each row of the curves from A to B and of C."""
+    mean = _Stack(ab._points(0.5)[0])
     return {
-        "d_ac": d_ac,
-        "d_bc": _sandwich_log_eigs(B, C),
-        "d_ab": d_ab,
-        "d_mid": _sandwich_log_eigs(mean, C),
+        "d_ac": GeodesicCurve._of(ab._a, C)._log_eigs(),
+        "d_bc": GeodesicCurve._of(ab._b, C)._log_eigs(),
+        "d_ab": ab._log_eigs(),
+        "d_mid": GeodesicCurve._of(mean, C)._log_eigs(),
     }
 
 
-def _sphere_spectra(A: _Stack, B: _Stack) -> dict[str, np.ndarray]:
+def _sphere_spectra(ab: GeodesicCurve) -> dict[str, np.ndarray]:
     """The "sphere" family: log-spectra behind delta_p(A#B, I) and
-    delta_p(A, B), for A and B on the exponential unit sphere of order p.
-    The mean and the (A, B) spectrum read one formed sandwich."""
-    ab = _sandwich(A, B)
-    mean = _Stack(_weighted_mean(A, B, 0.5, ab)[0])
-    return {
-        "d_mid_identity": np.log(mean.eig().eigenvalues),
-        "d_ab": _sandwich_log_eigs(A, B, ab),
-    }
+    delta_p(A, B), for each row of the curves from A to B, both ends on the
+    exponential unit sphere of order p."""
+    mean = _Stack(ab._points(0.5)[0])
+    return {"d_mid_identity": np.log(mean.eig().eigenvalues), "d_ab": ab._log_eigs()}
 
 
 def _lemma_spectra(H: np.ndarray, K: np.ndarray) -> dict[str, np.ndarray]:
@@ -256,10 +240,11 @@ def _inputs(family: str, values: dict[str, np.ndarray], p: float) -> dict:
 
 
 def _report_columns(lhs: list[float], rhs: list[float], gap: list[float],
-                    diagnostics: dict[str, list]) -> tuple:
-    """One report's columns: the sides, the gap and the verdicts, one entry
-    per sample, then its diagnostics as a dict of columns."""
-    return lhs, rhs, gap, _satisfied(lhs, rhs, gap), diagnostics
+                    diagnostics: dict[str, list], rtol: float) -> tuple:
+    """One report's columns: the sides, the gap and the verdicts at relative
+    tolerance ``rtol``, one entry per sample, then its diagnostics as a dict
+    of columns."""
+    return lhs, rhs, gap, _satisfied(lhs, rhs, gap, rtol), diagnostics
 
 
 def _ge(p_range: PRange, family: str, name: str, lhs, rhs) -> Checker:
@@ -270,11 +255,11 @@ def _ge(p_range: PRange, family: str, name: str, lhs, rhs) -> Checker:
     norm columns."""
     (left_names, left_formula), (right_names, right_formula) = lhs, rhs
 
-    def evaluate(norms: dict[str, list[float]], p: float) -> tuple[tuple]:
+    def evaluate(norms: dict[str, list[float]], p: float, rtol: float) -> tuple[tuple]:
         orders = [p] * len(norms[left_names[0]])
         left = list(map(left_formula, orders, *[norms[q] for q in left_names]))
         right = list(map(right_formula, orders, *[norms[q] for q in right_names]))
-        return (_report_columns(left, right, [l - r for l, r in zip(left, right)], norms),)
+        return (_report_columns(left, right, [l - r for l, r in zip(left, right)], norms, rtol),)
 
     return Checker(p_range, family, lambda p: (name,), evaluate)
 
@@ -284,7 +269,7 @@ def _clarkson_mccarthy_names(p: float) -> tuple[str, str]:
     return f"clarkson_mccarthy_lower_{side}", f"clarkson_mccarthy_upper_{side}"
 
 
-def _clarkson_mccarthy(norms: dict[str, list[float]], p: float):
+def _clarkson_mccarthy(norms: dict[str, list[float]], p: float, rtol: float):
     """Two reports, lower and upper bound, whose orientation flips at p = 2."""
     combined = [a ** p + b ** p for a, b in zip(norms["norm_plus"], norms["norm_minus"])]
     separate = [x ** p + y ** p for x, y in zip(norms["norm_x"], norms["norm_y"])]
@@ -297,14 +282,15 @@ def _clarkson_mccarthy(norms: dict[str, list[float]], p: float):
     else:
         lower = [t - c for c, t in zip(combined, twice)]
         upper = [c - b for b, c in zip(bound, combined)]
-    return (_report_columns(twice, combined, lower, diagnostics),
-            _report_columns(combined, bound, upper, diagnostics))
+    return (_report_columns(twice, combined, lower, diagnostics, rtol),
+            _report_columns(combined, bound, upper, diagnostics, rtol))
 
 
-def _log_majorization(values: dict[str, np.ndarray], p: float):
+def _log_majorization(values: dict[str, np.ndarray], p: float, rtol: float):
     """The lemma as one report: lhs and rhs are the traces of H + K and of
     the BCH side, the gap is the smallest prefix slack, and the verdict is
-    full majorization."""
+    full majorization at the majorization tolerance (``rtol``, the gap
+    rule's, does not apply)."""
     slack, tol = _lemma_slack(values)
     weak, tight = _prefix_verdicts(slack, tol)
     traces = values["trace"].tolist()
@@ -360,12 +346,13 @@ CHECKERS: dict[str, Checker] = {
 }
 
 
-def _evaluate(name: str, inputs, p: float) -> tuple[tuple, ...]:
-    """``CHECKERS[name].evaluate``: the one place the formulas run.  An
-    order so large that a formula overflows a float raises a ValueError
-    naming the checker and the order."""
+def _evaluate(name: str, inputs, p: float, rtol: float = REPORT_RTOL) -> tuple[tuple, ...]:
+    """``CHECKERS[name].evaluate``: the one place the formulas and the
+    verdicts run, the gap rule at relative tolerance ``rtol``.  An order so
+    large that a formula overflows a float raises a ValueError naming the
+    checker and the order."""
     try:
-        return CHECKERS[name].evaluate(inputs, p)
+        return CHECKERS[name].evaluate(inputs, p, rtol)
     except OverflowError as exc:
         raise ValueError(f"{name}: a side of the inequality overflows a float at p = {p}") from exc
 
@@ -398,9 +385,9 @@ def _pair(X, Y) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_triple(name: str, A: SpdMatrix, B: SpdMatrix, C: SpdMatrix, p) -> InequalityReport:
     p = _checked_order(name, p)
-    stacks = _operands(A, B, C)
-    (report,) = _reports(name, _triple_spectra(*stacks), p)
-    (product,), (bracket,) = _gamma_defects(*stacks)
+    A, B, C = _operands(A, B, C)
+    (report,) = _reports(name, _triple_spectra(GeodesicCurve._of(A, B), C), p)
+    (product,), (bracket,) = _gamma_defects(A, B, C)
     report.diagnostics.update(gamma_defect_product=product, gamma_defect_bracket=bracket)
     return report
 
@@ -415,7 +402,7 @@ def _check_sphere(name: str, A: SpdMatrix, B: SpdMatrix, p) -> InequalityReport:
                 f"{label} is off the exponential unit sphere of order {p} by more than "
                 f"{SPHERE_TOL:.0e} (delta_p to identity = {radius:.12g})"
             )
-    (report,) = _reports(name, _sphere_spectra(*stacks), p)
+    (report,) = _reports(name, _sphere_spectra(GeodesicCurve._of(*stacks)), p)
     return report
 
 
@@ -449,7 +436,7 @@ def check_distance_lower_bound(A: SpdMatrix, B: SpdMatrix, p) -> InequalityRepor
     """
     p = _validate_p(p)
     A, B = _operands(A, B)
-    (report,) = _reports("distance_lower_bound", _distance_spectra(A, B), p)
+    (report,) = _reports("distance_lower_bound", _distance_spectra(GeodesicCurve._of(A, B)), p)
     (report.diagnostics["commutator_defect"],) = _defects(A.array, B.array)
     return report
 

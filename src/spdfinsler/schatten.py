@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import HermitianMatrix, as_matrix, eigh
+from .matcore import as_matrix, eigh
 
 __all__ = [
     "Spectrum",
@@ -120,16 +120,10 @@ def eigenvalue_spectrum(H) -> Spectrum:
 
 
 def singular_values(M) -> Spectrum:
-    """Descending singular values of any rectangular complex matrix.
-
-    HermitianMatrix inputs, SpdMatrix included, use their cached spectrum:
-    the singular values are the sorted absolute eigenvalues.
-    """
-    if isinstance(M, HermitianMatrix):
-        vals = np.abs(eigh(M).eigenvalues)
-    else:
-        vals = np.linalg.svd(as_matrix(M), compute_uv=False)
-    return Spectrum(vals, kind="singular")
+    """Descending singular values of any rectangular complex matrix, from
+    one svd for every input, a HermitianMatrix included: the bits do not
+    depend on the operand's type."""
+    return Spectrum(np.linalg.svd(as_matrix(M), compute_uv=False), kind="singular")
 
 
 def _validate_p(p) -> float:

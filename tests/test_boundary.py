@@ -95,31 +95,32 @@ def test_lemma_operands_are_hermitian():
         check_log_majorization_lemma(NON_HERMITIAN, k)
 
 
-# numpy.linalg (eigh, eigvalsh) calls of one call on a d = 3 generic sample.
+# numpy.linalg (eigh, eigvalsh, svd) calls of one call on a d = 3 generic
+# sample.
 # Stages take an SpdMatrix's decomposition only when they need it, so a
 # derived operand whose spectrum no stage reads is never decomposed.
 KERNEL_BUDGET = {
-    "delta_p": (lambda a, b, c: delta_p(a, b, 2.0), 0, 1),
-    "delta_p_of_mean": (lambda a, b, c: delta_p(a, geometric_mean(b, c), 2.0), 1, 1),
-    "log_euclidean_dist": (lambda a, b, c: log_euclidean_dist(a, b, 2.0), 0, 1),
-    "weighted_mean": (lambda a, b, c: weighted_mean(a, b, 0.3), 1, 0),
-    "curve_eval": (lambda a, b, c: GeodesicCurve(a, b).eval(0.3), 1, 0),
-    "curve_log_m": (lambda a, b, c: GeodesicCurve(a, b).log_m, 1, 0),
-    "arc_length": (lambda a, b, c: arc_length(GeodesicCurve(a, b), 2.0, 8), 19, 0),
-    "gamma_commute": (lambda a, b, c: gamma_commute(a, b, c), 0, 0),
-    "project_to_unit_sphere": (lambda a, b, c: project_to_unit_sphere(a, 2.0), 0, 0),
-    "check_distance_lower_bound": (lambda a, b, c: check_distance_lower_bound(a, b, 2.0), 0, 2),
-    "check_conde_2uc": (lambda a, b, c: check_conde_2uc(a, b, c, 1.5), 2, 4),
-    "check_sphere_2uc": (lambda a, b, c: check_sphere_2uc(a, b, 1.5), 4, 1),
-    "gap_scan": (lambda a, b, c: gap_scan(a, b, [0.0, 0.1, 0.2], [2.0, 3.0]), 2, 2),
+    "delta_p": (lambda a, b, c: delta_p(a, b, 2.0), 0, 1, 0),
+    "delta_p_of_mean": (lambda a, b, c: delta_p(a, geometric_mean(b, c), 2.0), 1, 1, 0),
+    "log_euclidean_dist": (lambda a, b, c: log_euclidean_dist(a, b, 2.0), 0, 1, 0),
+    "weighted_mean": (lambda a, b, c: weighted_mean(a, b, 0.3), 1, 0, 0),
+    "curve_eval": (lambda a, b, c: GeodesicCurve(a, b).eval(0.3), 1, 0, 0),
+    "curve_log_m": (lambda a, b, c: GeodesicCurve(a, b).log_m, 1, 0, 0),
+    "arc_length": (lambda a, b, c: arc_length(GeodesicCurve(a, b), 2.0, 8), 10, 0, 9),
+    "gamma_commute": (lambda a, b, c: gamma_commute(a, b, c), 0, 0, 0),
+    "project_to_unit_sphere": (lambda a, b, c: project_to_unit_sphere(a, 2.0), 0, 0, 0),
+    "check_distance_lower_bound": (lambda a, b, c: check_distance_lower_bound(a, b, 2.0), 0, 2, 0),
+    "check_conde_2uc": (lambda a, b, c: check_conde_2uc(a, b, c, 1.5), 2, 4, 0),
+    "check_sphere_2uc": (lambda a, b, c: check_sphere_2uc(a, b, 1.5), 4, 1, 0),
+    "gap_scan": (lambda a, b, c: gap_scan(a, b, [0.0, 0.1, 0.2], [2.0, 3.0]), 2, 2, 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_BUDGET))
 def test_kernel_budget(name, kernel_calls):
-    call, eigh, eigvalsh = KERNEL_BUDGET[name]
+    call, eigh, eigvalsh, svd = KERNEL_BUDGET[name]
     operands = _sample_operands("ua ub c" if name == "check_sphere_2uc" else "a b c", dim=3)
     kernel_calls.update(dict.fromkeys(kernel_calls, 0))
     call(*operands)
     assert (kernel_calls["eigh"], kernel_calls["eigvalsh"], kernel_calls["svd"]) == (
-        eigh, eigvalsh, 0)
+        eigh, eigvalsh, svd)

@@ -51,7 +51,6 @@ from spdfinsler.geodesic import (
     _gamma_defects,
     _project,
     _radii,
-    _weighted_mean,
 )
 from spdfinsler.matcore import (
     _assemble,
@@ -222,6 +221,19 @@ class TestErrorOrder:
             run_campaign(config, sorted(CHECKERS), P_GRID, len(rows))
         assert type(raised.value) is error
 
+    @pytest.mark.parametrize("chunk_rows", [None, 1])
+    def test_stream_holds_every_earlier_sample(self, monkeypatch, chunk_rows):
+        # Before a gate error, as before a draw error, the stream holds the
+        # rows of every earlier sample, whatever the chunk size.
+        config = _crafted(monkeypatch, ["ok", "ok", "gate"])
+        if chunk_rows is not None:
+            monkeypatch.setattr(experiments, "CHUNK_ROWS", chunk_rows)
+        streamed = []
+        with pytest.raises(ValueError, match="not safely positive definite"):
+            for chunk in _campaign_chunks(config, ["distance_lower_bound"], [2.0], 3):
+                streamed.extend(row.index for row in chunk)
+        assert streamed == [0, 1]
+
     def test_failure_in_a_later_chunk(self, monkeypatch):
         config = _crafted(monkeypatch, ["ok"] * 5 + ["gate"])
         monkeypatch.setattr(experiments, "CHUNK_WORK", 2 * 27)
@@ -294,7 +306,7 @@ class TestStackedStages:
         bundles = [sample_bundle(SampleConfig(dim=dim, seed=dim), i) for i in range(4)]
         a = _stack_of(b.a for b in bundles)
         b = _stack_of(b.b for b in bundles)
-        means, _ = _weighted_mean(a, b, 0.5)
+        means, _ = GeodesicCurve._of(a, b)._points(0.5)
         for k, bundle in enumerate(bundles):
             assert np.array_equal(means[k], GeodesicCurve(bundle.a, bundle.b).eval(0.5).array)
         for p in [1.1, 2.0, 4.0]:
@@ -402,8 +414,8 @@ class TestConditionGuard:
         monkeypatch.setattr(experiments, "CONDITION_GUARD", guard)
         if guard < 1e3:
             assert 0 < sum(self._first_fails(40)) < 40
-        items, error = _draws(self.CONFIG, range(40))
-        assert error is None and [index for index, _ in items] == list(range(40))
+        items = _draws(self.CONFIG, range(40))
+        assert [index for index, _ in items] == list(range(40))
         for index, draw in items:
             for alone in (_draw(self.CONFIG, index), self._alone(index)):
                 assert all(np.array_equal(x, y) for x, y in zip(draw, alone, strict=True))
@@ -415,9 +427,10 @@ class TestConditionGuard:
         assert failing > 0 and self._alone(failing) is None
         with pytest.raises(RuntimeError, match="in 1 attempts"):
             _draw(self.CONFIG, failing)
-        items, error = _draws(self.CONFIG, range(40))
+        with pytest.raises(RuntimeError, match="in 1 attempts"):
+            _draws(self.CONFIG, range(40))
+        items = _draws(self.CONFIG, range(failing))
         assert [index for index, _ in items] == list(range(failing))
-        assert isinstance(error, RuntimeError)
         # A campaign streams the rows of every earlier sample, then raises.
         rows = []
         with pytest.raises(RuntimeError, match="no conjugating matrix"):

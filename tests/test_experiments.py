@@ -298,6 +298,22 @@ class TestRunCampaign:
         harsh = run_campaign(config, ["distance_lower_bound"], [2.0], 3, tol_rel=-1e3)
         assert not any(r.satisfied for r in harsh)
 
+    def test_tolerance_keeps_the_majorization_verdict(self, monkeypatch):
+        # Spectra whose prefixes agree but whose traces are 5e-9 apart: weak
+        # majorization, not full.  The default tolerance, passed explicitly,
+        # changes no row, and the lemma's verdict is never the gap rule's.
+        def spectra(H, K):
+            count = len(H)
+            return {"sum": np.tile([1.0, 0.0], (count, 1)),
+                    "bch": np.tile([1.0, 5e-9], (count, 1)), "trace": np.ones(count)}
+
+        monkeypatch.setattr(experiments, "_lemma_spectra", spectra)
+        config = SampleConfig(dim=2, seed=16)
+        default = run_campaign(config, ["log_majorization"], [2.0], 2)
+        assert [r.satisfied for r in default] == [False, False]
+        explicit = run_campaign(config, ["log_majorization"], [2.0], 2, tol_rel=1e-9)
+        assert render_csv(explicit) == render_csv(default)
+
 
 class TestGapScan:
     def test_zero_epsilon_row_vanishes_for_commuting_base(self):

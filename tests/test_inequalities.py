@@ -29,6 +29,7 @@ from spdfinsler import (
     identity,
     project_to_unit_sphere,
     run_campaign,
+    schatten_norm,
 )
 from spdfinsler.inequalities import _satisfied
 
@@ -151,6 +152,16 @@ class TestTwoUniformConvexity:
         for _ in range(20):
             x, y = random_hermitian(rng, 3), random_hermitian(rng, 3)
             assert check_two_uniform_convexity_norm(x, y, 1.3).satisfied
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 16])
+    def test_norms_are_schatten_norms_bit_for_bit(self, dim):
+        # One singular-value path: a Hermitian operand, its array and the
+        # checker's batched spectra give one norm.
+        rng = make_rng(dim + 40)
+        for _ in range(5):
+            x, y = random_hermitian(rng, dim).array, random_hermitian(rng, dim).array
+            norm = check_two_uniform_convexity_norm(x, y, 1.5).diagnostics["norm_plus"]
+            assert schatten_norm(HermitianMatrix(x + y), 1.5) == schatten_norm(x + y, 1.5) == norm
 
 
 class TestDistanceLowerBound:

@@ -22,7 +22,7 @@ from spdfinsler import (
     mat_pow,
     mat_sqrt,
 )
-from spdfinsler.geodesic import GeodesicCurve, _sandwich_log_eigs
+from spdfinsler.geodesic import GeodesicCurve
 from spdfinsler.matcore import _Stack, _assemble, _eigh_array, _hermitian_part
 
 from conftest import make_rng, random_hermitian, random_spd
@@ -120,14 +120,19 @@ class TestEigh:
             assert np.array_equal(dec.eigenvalues[k], one.eigenvalues)
             assert np.array_equal(dec.unitary[k], one.unitary)
             assert np.array_equal(rebuilt[k], _assemble(one.unitary, one.eigenvalues))
-        # So does the stacked sandwich spectrum; its row equal to A is exactly 0.
+        # So do the stacked sandwich spectrum and midpoints of one A against
+        # a stack; the row equal to A is exactly 0, and its midpoint A.
         spd = _hermitian_part(raw @ raw.conj().mT) + np.eye(dim)
         a = _Stack.of(SpdMatrix(spd[0]))
-        logs = _sandwich_log_eigs(a, _Stack(spd))
+        curve = GeodesicCurve._of(a, _Stack(spd))
+        logs, (means, _) = curve._log_eigs(), curve._points(0.5)
         assert logs.shape == (11, dim) and not logs[0].any()
+        assert np.array_equal(means[0], spd[0])
         for k in range(1, 11):
-            one = _sandwich_log_eigs(a, _Stack.of(SpdMatrix(spd[k])))
-            assert one.shape == (1, dim) and np.array_equal(logs[k], one[0])
+            one = GeodesicCurve._of(a, _Stack.of(SpdMatrix(spd[k])))
+            assert one._log_eigs().shape == (1, dim)
+            assert np.array_equal(logs[k], one._log_eigs()[0])
+            assert np.array_equal(means[k], one._points(0.5)[0][0])
 
     def test_returns_eigendecomposition(self):
         assert isinstance(eigh(identity(2)), EigenDecomposition)
@@ -215,14 +220,15 @@ class TestDerivedMatrices:
         assert kernel_calls["eigh"] == 0
 
     def test_lost_positivity_is_one_error(self):
-        # Adopted SPD results, the geodesic factorization's sandwiches and
-        # delta_p's stacked sandwich spectra share one positivity test and
-        # its message; a stack row equal to A stays exact and is not tested.
+        # Adopted SPD results, the geodesic's decomposed sandwiches (tested
+        # before any power of them) and its sandwich log-spectra share one
+        # positivity test and its message; a stack row equal to A stays
+        # exact and is not tested.
         indefinite = np.diag([1.0, -1.0]).astype(np.complex128)
         identity_rows, derived = _Stack.of(identity(2)), _Stack(np.array([np.eye(2), indefinite]))
         for derive in (lambda: SpdMatrix._adopt(indefinite, np.array([1.0, -1.0])),
-                       lambda: object.__new__(GeodesicCurve)._factor(identity_rows, derived),
-                       lambda: _sandwich_log_eigs(identity_rows, derived)):
+                       lambda: GeodesicCurve._of(identity_rows, derived)._points(0.5),
+                       lambda: GeodesicCurve._of(identity_rows, derived)._log_eigs()):
             with pytest.raises(ValueError, match="derived matrix lost positivity"):
                 derive()
         # A caller's indefinite operand is stopped at the boundary by the gate.
