@@ -151,7 +151,7 @@ def _run(args) -> int:
         for stream in streams:
             for chunk in stream:
                 rows += len(chunk)
-                bad += chunk.columns["satisfied"].count(False)
+                bad += chunk.column("satisfied").count(False)
                 yield chunk
 
     _write_chunks(counted(), sys.stdout if args.out is None else args.out, comments)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import os
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -103,10 +104,15 @@ class SampleConfig:
     epsilon: float = 0.0
 
     def __post_init__(self):
+        for name in ("dim", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
-        if not self.spread > 0.0:
-            raise ValueError(f"spread must be positive, got {self.spread}")
+        if not 0.0 < self.spread < math.inf:
+            raise ValueError(f"spread must be positive and finite, got {self.spread}")
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}; choose from {ENSEMBLES}")
         if not 0 <= int(self.seed) <= _MASK64:
@@ -323,15 +329,21 @@ CSV_COLUMNS = tuple(f.name for f in fields(ScanRecord))
 
 
 class ScanTable:
-    """Experiment rows stored by column: ``columns`` maps each name of
-    CSV_COLUMNS to a list with one value per row.  Campaigns and gap scans
-    return one; iterating or indexing it yields ScanRecords, and it
-    compares equal to a sequence of the same records."""
+    """Experiment rows stored as a grid of ``count`` samples by ``width``
+    report slots: row ``k * width + j`` is slot j of sample k.  ``columns``
+    maps each name of CSV_COLUMNS to one value, constant over the table, or
+    to a list of ``width`` slot entries.  A slot entry is one value, shared
+    by every sample in that slot, or a list of ``count`` values, one per
+    sample; one such list may serve several slots.  A table of records is
+    the one-slot case.  Campaigns and gap scans return one; iterating or
+    indexing it yields ScanRecords, and it compares equal to a sequence of
+    the same records."""
 
-    __slots__ = ("columns",)
+    __slots__ = ("count", "width", "columns")
 
-    def __init__(self, columns: dict | None = None):
-        self.columns = {name: list(columns[name]) if columns else [] for name in CSV_COLUMNS}
+    def __init__(self, count: int = 0, width: int = 1, columns: dict | None = None):
+        self.count, self.width = count, width
+        self.columns = columns if columns is not None else {name: [[]] for name in CSV_COLUMNS}
 
     @classmethod
     def of(cls, records) -> "ScanTable":
@@ -339,18 +351,27 @@ class ScanTable:
         if isinstance(records, ScanTable):
             return records
         records = list(records)
-        return cls({name: [getattr(r, name) for r in records] for name in CSV_COLUMNS})
+        return cls(len(records), 1, {name: [[getattr(r, name) for r in records]]
+                                     for name in CSV_COLUMNS})
+
+    def column(self, name: str) -> list:
+        """Each row's value of a column."""
+        column = self.columns[name]
+        if not isinstance(column, list):
+            return [column] * len(self)
+        rows = [None] * len(self)
+        for j, entry in enumerate(column):
+            rows[j::self.width] = entry if isinstance(entry, list) else [entry] * self.count
+        return rows
 
     def __len__(self) -> int:
-        return len(self.columns["index"])
+        return self.count * self.width
 
     def __iter__(self):
-        return (ScanRecord(*row) for row in zip(*self.columns.values()))
+        return map(ScanRecord, *(self.column(name) for name in CSV_COLUMNS))
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        return ScanRecord(*(column[index] for column in self.columns.values()))
+        return list(self)[index]
 
     def __eq__(self, other):
         if not isinstance(other, (ScanTable, list, tuple)):
@@ -358,19 +379,6 @@ class ScanTable:
         return list(self) == list(other)
 
     __hash__ = None
-
-    def extend(self, other: "ScanTable") -> None:
-        for name, column in self.columns.items():
-            column.extend(other.columns[name])
-
-
-def _table(count: int, sides: tuple[list, ...], **columns) -> ScanTable:
-    """The one column builder: ``count`` rows whose sides come from checker
-    columns ``(lhs, rhs, gap, satisfied)``; every other column is a list,
-    or one value repeated over the rows."""
-    columns.update(zip(("lhs", "rhs", "gap", "satisfied"), sides))
-    return ScanTable({name: value if isinstance(value, list) else [value] * count
-                      for name, value in columns.items()})
 
 
 # Work per chunk, in units of d^3: a campaign chunk takes at most CHUNK_WORK
@@ -442,28 +450,19 @@ def _campaign_rows(config: SampleConfig, items: list[tuple], plan, slots,
             inputs[key] = _inputs(checker.family, values, p)
         evaluated.append(_evaluate(name, inputs[key], p, rtol))
         defects.append(pair_defects)
-    width, count = len(slots), len(indices) * len(slots)
-
-    def interleave(segments):
-        """Each sample's rows in slot order: row ``k * width + j`` is entry k
-        of segment j, one slice assignment per slot."""
-        rows = [None] * count
-        for j, segment in enumerate(segments):
-            rows[j::width] = segment
-        return rows
-
-    sides = [interleave([evaluated[k][j][column] for _, _, k, j in slots]) for column in range(4)]
-    return _table(
-        count, sides,
-        index=interleave([indices] * width),
+    width = len(slots)
+    return ScanTable(len(indices), width, dict(
+        index=[indices] * width,
         dim=config.dim, spread=config.spread, ensemble=config.ensemble, seed=config.seed,
         epsilon=config.epsilon,
-        inequality=[name for name, _, _, _ in slots] * len(indices),
-        p=[p for _, p, _, _ in slots] * len(indices),
-        commutator_defect=interleave([defects[k] for _, _, k, _ in slots]),
-        gamma_defect_product=interleave([products] * width),
-        gamma_defect_bracket=interleave([brackets] * width),
-    )
+        inequality=[name for name, _, _, _ in slots],
+        p=[p for _, p, _, _ in slots],
+        **{side: [evaluated[k][j][column] for _, _, k, j in slots]
+           for column, side in enumerate(("lhs", "rhs", "gap", "satisfied"))},
+        commutator_defect=[defects[k] for _, _, k, _ in slots],
+        gamma_defect_product=[products] * width,
+        gamma_defect_bracket=[brackets] * width,
+    ))
 
 
 def _chunked(config: SampleConfig, count: int, rows, rows_per_item: int, weight: int = 1):
@@ -490,11 +489,12 @@ def _chunked(config: SampleConfig, count: int, rows, rows_per_item: int, weight:
 
 
 def _joined(chunks) -> ScanTable:
-    """One table of the rows of a chunk stream."""
-    table = ScanTable()
+    """The one-slot table of the rows of a chunk stream."""
+    rows = {name: [] for name in CSV_COLUMNS}
     for chunk in chunks:
-        table.extend(chunk)
-    return table
+        for name, column in rows.items():
+            column += chunk.column(name)
+    return ScanTable(len(rows["index"]), 1, {name: [column] for name, column in rows.items()})
 
 
 def _campaign_chunks(config: SampleConfig, inequalities: Sequence[str],
@@ -596,22 +596,17 @@ def _rays(A: _Stack, B: _Stack, grid: list[float], orders: list[float],
     defects = _defects(A.array, points.array)
     reports = [_evaluate("distance_lower_bound", _inputs("distance", spectra, q), q)[0]
                for q in orders]
-
-    def by_pair(columns):
-        return [value for k in range(count) for column in columns
-                for value in column[k * width:(k + 1) * width]]
-
-    sides = [by_pair([report[column] for report in reports]) for column in range(4)]
-    rows = count * len(orders) * width
-    return _table(
-        rows, sides,
-        index=list(range(width)) * (rows // width), dim=dim, spread=math.nan,
-        ensemble="near_commuting", seed=[seed for seed in seeds for _ in range(rows // count)],
-        epsilon=grid * (rows // width), inequality="distance_lower_bound",
-        p=[q for _ in range(count) for q in orders for _ in grid],
-        commutator_defect=by_pair([defects] * len(orders)), gamma_defect_product=math.nan,
-        gamma_defect_bracket=math.nan,
-    )
+    # A sample is a base pair, a slot an (order, epsilon) point of its ray.
+    return ScanTable(count, len(orders) * width, dict(
+        index=list(range(width)) * len(orders), dim=dim, spread=math.nan,
+        ensemble="near_commuting", seed=[seeds] * (len(orders) * width),
+        epsilon=grid * len(orders), inequality="distance_lower_bound",
+        p=[q for q in orders for _ in grid],
+        **{side: [report[column][e::width] for report in reports for e in range(width)]
+           for column, side in enumerate(("lhs", "rhs", "gap", "satisfied"))},
+        commutator_defect=[defects[e::width] for e in range(width)] * len(orders),
+        gamma_defect_product=math.nan, gamma_defect_bracket=math.nan,
+    ))
 
 
 def gap_scan(A: SpdMatrix, B: SpdMatrix, eps_grid: Sequence[float], p, *,
@@ -648,72 +643,54 @@ def _gap_study(config: SampleConfig, count: int, eps_grid: Sequence[float], p):
 
 
 # One CSV line per row in CSV_COLUMNS order: floats at 17 significant digits,
-# verdicts as true/false.  A column constant over a chunk (see ``_constant``:
-# dim, spread, ensemble and seed, or gap-study's NaN defects) is formatted
-# once, into the chunk's line template.  Of the others, lhs, rhs and gap are
-# formatted per row by the template, and every other float column repeats
-# one value object over many rows (a configuration, order, sample or family
-# value), so each such object is formatted once.
+# verdicts as true/false.  The renderer reads a table's grid (see ScanTable)
+# as it is stored.  Each slot gets its own line template, which holds the
+# texts of the constant columns and of the slot's one-value entries; lhs,
+# rhs and gap are formatted per row by the template.  Every other entry
+# object is formatted once per column, a per-sample list however many slots
+# share it.  Entries are matched by identity, never by ==, so 0.0 and -0.0,
+# or 1 and 1.0, keep their own texts.  Each slot's lines are then slotted
+# into row order: line k of slot j is row k * width + j.
 _SIDES = ("lhs", "rhs", "gap")
-_REPEATED = ("spread", "epsilon", "p", "commutator_defect", "gamma_defect_product",
-             "gamma_defect_bracket")
-_FLOATS = _SIDES + _REPEATED
+_FLOATS = _SIDES + ("spread", "epsilon", "p", "commutator_defect", "gamma_defect_product",
+                    "gamma_defect_bracket")
 
 
-def _text(name: str, value) -> str:
-    """One value as its column prints it."""
+def _texts(name: str, values: list) -> list[str]:
+    """Each value as its column prints it."""
     if name == "satisfied":
-        return "true" if value else "false"
-    return ("%.17g" if name in _FLOATS else "%s") % (value,)
-
-
-def _constant(name: str, column: list) -> bool:
-    """Whether every value of a nonempty column prints as its first: each
-    compares equal to it (the same NaN object does); in a float column the
-    first is not zero (0.0 and -0.0 compare equal but print apart); in a
-    column printed by %s each has the first's type (1 and 1.0 compare equal
-    too), and a zero first is an int."""
-    first, last = column[0], column[-1]
-    if not ((last is first or last == first) and column.count(first) == len(column)):
-        return False
-    if name == "satisfied":
-        return True
-    if name in _FLOATS:
-        return not first == 0
-    return len(set(map(type, column))) == 1 and (type(first) is int or not first == 0)
-
-
-def _formatted(column: list) -> list[str]:
-    """Each float of a column at 17 significant digits, formatted once per
-    value object (not per value, so 0.0 and -0.0 stay apart)."""
-    texts, out = {}, []
-    for value in column:
-        text = texts.get(id(value))
-        if text is None:
-            text = texts[id(value)] = "%.17g" % value
-        out.append(text)
-    return out
+        return ["true" if value else "false" for value in values]
+    form = "%.17g" if name in _FLOATS else "%s"
+    return [form % (value,) for value in values]
 
 
 def _csv_text(table: ScanTable) -> str:
     """The CSV lines of a table's rows, each ending in '\\n'."""
     if not len(table):
         return ""
-    fields, varying = [], []
-    for name, column in table.columns.items():
-        if _constant(name, column):
-            fields.append(_text(name, column[0]).replace("%", "%%"))
-            continue
-        if name in _REPEATED:
-            column = _formatted(column)
-        elif name == "satisfied":
-            column = ["true" if value else "false" for value in column]
-        fields.append("%.17g" if name in _SIDES else "%s")
-        varying.append(column)
-    line = ",".join(fields) + "\n"
-    if not varying:
-        return line % () * len(table)
-    return "".join([line % row for row in zip(*varying)])
+    width = table.width
+    fields = [[] for _ in range(width)]
+    values = [[] for _ in range(width)]
+    for name in CSV_COLUMNS:
+        column, texts = table.columns[name], {}
+        for j, entry in enumerate(column if isinstance(column, list) else [column] * width):
+            if isinstance(entry, list) and name in _SIDES:
+                fields[j].append("%.17g")
+                values[j].append(entry)
+                continue
+            if id(entry) not in texts:
+                texts[id(entry)] = _texts(name, entry if isinstance(entry, list) else [entry])
+            if isinstance(entry, list):
+                fields[j].append("%s")
+                values[j].append(texts[id(entry)])
+            else:
+                fields[j].append(texts[id(entry)][0].replace("%", "%%"))
+    lines = [None] * len(table)
+    for j in range(width):
+        line = ",".join(fields[j]) + "\n"
+        lines[j::width] = ([line % row for row in zip(*values[j])] if values[j]
+                           else [line % ()] * table.count)
+    return "".join(lines)
 
 
 def _write_rows(handle, chunks, header_comments: Sequence[str]) -> None:

@@ -250,9 +250,10 @@ def _eigh_array(arr: np.ndarray) -> EigenDecomposition:
             f"(30 sweeps per off-diagonal element) on a {arr.shape[-1]}x{arr.shape[-1]} input"
         ) from exc
     w = np.ascontiguousarray(w[..., ::-1])
-    v = np.ascontiguousarray(v[..., ::-1])
+    v = v[..., ::-1]
     # Deterministic phase: make each column's largest-|.| component real
-    # positive.  A pivot's index also names its matrix.
+    # positive.  A pivot's index also names its matrix.  The product is a
+    # new C-contiguous array, so the reversed view needs no copy of its own.
     pivots = v[np.arange(len(v))[:, None], np.argmax(np.abs(v), axis=-2), np.arange(v.shape[-1])]
     mags = np.abs(pivots)
     phases = np.where(mags > 0, pivots / np.where(mags > 0, mags, 1.0), 1.0)

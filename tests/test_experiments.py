@@ -60,6 +60,29 @@ class TestSampleConfig:
             with pytest.raises(ValueError, match="epsilon"):
                 SampleConfig(dim=2, epsilon=epsilon)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        # A fractional seed would sample with int(seed) but print as given,
+        # so its rows could not be replayed.
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SampleConfig(dim=2, seed=seed)
+
+    @pytest.mark.parametrize("dim", [2.0, 3.5])
+    def test_dim_must_be_an_integer(self, dim):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            SampleConfig(dim=dim)
+
+    @pytest.mark.parametrize("spread", [math.inf, math.nan, -1.0])
+    def test_spread_must_be_positive_and_finite(self, spread):
+        with pytest.raises(ValueError, match="spread must be positive and finite"):
+            SampleConfig(dim=2, spread=spread)
+
+    def test_numpy_integers_are_accepted(self):
+        rows = [render_csv(run_campaign(config, ["conde_2uc"], [2.0], 2))
+                for config in (SampleConfig(dim=np.int64(2), seed=np.uint64(7)),
+                               SampleConfig(dim=2, seed=7))]
+        assert rows[0] == rows[1]
+
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
     def test_generator_streams_are_default_rng_streams(self, seed):
         ours, numpy_default = _generator(seed), np.random.default_rng(seed)
@@ -538,3 +561,57 @@ class TestConstantColumns:
         for chunk in _gap_study(SampleConfig(dim=2, ensemble="commuting_pair", seed=7), 3,
                                 [0.0, 0.5, 1.0], [2.0, math.inf]):
             assert _csv_text(chunk) == _per_row_csv(chunk)
+
+
+class TestGridTables:
+    """A table stored as samples x slots renders, iterates and indexes as
+    the rows it stands for."""
+
+    @staticmethod
+    def _grid():
+        """Three samples by three slots, every kind of column entry."""
+        shared = [0.0, -0.0, 1e-300]
+        return ScanTable(3, 3, dict(
+            index=[[7, 8, 9]] * 3, dim=2, spread=float("nan"), ensemble="50%", seed=5,
+            epsilon=[0.0, -0.0, 0.0], inequality=["a", "b%s", "a"],
+            p=[float("nan"), float("nan"), 1.5],
+            lhs=[[1.0, -0.0, 0.5], 0.25, [0.0, 2.0, 3.0]],
+            rhs=[[0.5, 0.5, 0.5], [1.0, 2.0, 3.0], -0.0],
+            gap=[[0.5, -0.5, 0.0], [-0.75, -1.75, -2.75], [0.0, 2.0, 3.0]],
+            satisfied=[[True, False, True], False, [True, True, False]],
+            commutator_defect=[shared, [1.0, 2.0, 3.0], shared],
+            gamma_defect_product=[math.nan, 0.0, -0.0], gamma_defect_bracket=-0.0,
+        ))
+
+    def test_renders_as_the_per_row_rule(self):
+        table = self._grid()
+        assert len(table) == 9
+        assert _csv_text(table) == _per_row_csv(table)
+        lines = _csv_text(table).splitlines()
+        assert [line.split(",")[5] for line in lines[:3]] == ["0", "-0", "0"]
+        assert [line.split(",")[12] for line in lines[3:6]] == ["-0", "2", "-0"]
+        assert lines[4].split(",")[6] == "b%s" and lines[0].split(",")[3] == "50%"
+
+    def test_rows_follow_the_grid(self):
+        table = self._grid()
+        rows = list(table)
+        assert [row.index for row in rows] == [7, 7, 7, 8, 8, 8, 9, 9, 9]
+        assert [row.lhs for row in rows[3:6]] == [-0.0, 0.25, 2.0]
+        assert [row.satisfied for row in rows] == [True, False, True, False, False, True,
+                                                   True, False, False]
+        assert _csv_text(ScanTable.of(rows)) == _csv_text(table)
+
+    def test_indexing_matches_the_row_list(self):
+        bundle = sample_bundle(SampleConfig(dim=2, ensemble="commuting_pair"), 0)
+        tables = [
+            run_campaign(SampleConfig(dim=2, seed=3), ["conde_2uc", "log_majorization"],
+                         [1.5, 2.0], 3),
+            gap_scan(bundle.a, bundle.b, [0.0, 0.5, 1.0], [1.5, 2.0, math.inf], seed=4),
+            next(_campaign_chunks(SampleConfig(dim=2, seed=3), ["conde_2uc"], [1.5, 2.0], 3)),
+            self._grid(),
+        ]
+        for table in tables:
+            rows = list(table)
+            for i in (0, -1, len(rows) // 2):
+                assert table[i] == rows[i]
+            assert table[1:-1:2] == rows[1:-1:2]
